@@ -6,7 +6,8 @@ trace of a method), ``export`` (machine-readable tree or DOT containment
 graph), and ``corpus`` (materialize the bundled corpus).
 
 Exit codes: 0 success, 1 error diagnostics (or any diagnostics under
-``--strict``), 2 usage error, 3 unreadable input or unwritable output.
+``--strict``), 2 usage error, 3 unreadable or undecodable input, or
+unwritable output.
 Identical inputs and flags produce byte-identical standard output.
 """
 
@@ -29,11 +30,27 @@ class ExitStatus(IntEnum):
     IO = 3
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            # argparse's own wording for ``type=int``.
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strict", action="store_true",
                         help="treat warnings as failures (exit 1)")
-    common.add_argument("--max-depth", type=int, default=3, metavar="N",
+    common.add_argument("--max-depth", type=_int_at_least(1), default=3, metavar="N",
                         help="maximum activity-space nesting depth (default 3)")
 
     parser = argparse.ArgumentParser(
@@ -65,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enact.add_argument("files", nargs="+")
     p_enact.add_argument("--method", required=True,
                          help="method name or id to enact")
-    p_enact.add_argument("--steps", type=int, required=True, metavar="N",
+    p_enact.add_argument("--steps", type=_int_at_least(0), required=True, metavar="N",
                          help="number of visitation steps to print")
     p_enact.add_argument("--trace", action="store_true",
                          help="print completion records '(iteration, phase)' "
@@ -82,30 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="destination directory (default ./corpus)")
 
     return parser
-
-
-def _load_documents(paths) -> tuple[ModelDocument | None, list[Diagnostic]]:
-    """Parse every file; returns (merged document or None, parse diagnostics).
-
-    Unreadable files abort the process with exit status 3.
-    """
-    documents = []
-    diagnostics: list[Diagnostic] = []
-    for raw in paths:
-        path = Path(raw)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as failure:
-            print(f"cannot read {path}: {failure.strerror or failure}",
-                  file=sys.stderr)
-            raise SystemExit(int(ExitStatus.IO))
-        try:
-            documents.append(dsl.parse(text, str(path)))
-        except ParseError as failure:
-            diagnostics.extend(failure.diagnostics)
-    if diagnostics:
-        return None, diagnostics
-    return merge(*documents), []
 
 
 def _diagnostic_order(diagnostic: Diagnostic):
@@ -134,22 +127,43 @@ def _exit_for(diagnostics, strict: bool) -> int:
     return int(ExitStatus.OK)
 
 
-def _resolve_or_fail(document: ModelDocument):
-    """Resolved model, or None after printing the resolution errors."""
-    try:
-        return validator.resolve(document)
-    except ResolveError as failure:
-        _print_diagnostics(failure.diagnostics)
-        return None
+def _load(args, *, resolve: bool = True):
+    """The merged document of ``args.files``, resolved unless ``resolve`` is
+    false.
+
+    Raises :class:`ParseError` or :class:`ResolveError`, which :func:`run`
+    prints as diagnostics (exit status 1). Unreadable or undecodable files
+    abort the process with exit status 3.
+    """
+    documents = []
+    diagnostics: list[Diagnostic] = []
+    for raw in args.files:
+        path = Path(raw)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as failure:
+            reason = getattr(failure, "strerror", None) or failure
+            print(f"cannot read {path}: {reason}", file=sys.stderr)
+            raise SystemExit(int(ExitStatus.IO))
+        try:
+            documents.append(dsl.parse(text, str(path)))
+        except ParseError as failure:
+            diagnostics.extend(failure.diagnostics)
+    if diagnostics:
+        raise ParseError(diagnostics)
+    document = merge(*documents)
+    return validator.resolve(document) if resolve else document
+
+
+def _config(args) -> validator.CheckConfig:
+    return validator.CheckConfig(max_nesting_depth=args.max_depth)
 
 
 def _cmd_check(args) -> int:
-    document, parse_diagnostics = _load_documents(args.files)
-    config = validator.CheckConfig(max_nesting_depth=args.max_depth)
-    if document is None:
-        diagnostics = parse_diagnostics
-    else:
-        _, diagnostics = validator.check(document, config)
+    try:
+        _, diagnostics = validator.check(_load(args, resolve=False), _config(args))
+    except ParseError as failure:
+        diagnostics = failure.diagnostics
     _print_diagnostics(diagnostics)
     errors, warnings = _summary(diagnostics)
     print(f"{errors} errors, {warnings} warnings")
@@ -168,13 +182,7 @@ def _selected_rules(args) -> set[str]:
 
 
 def _cmd_lint(args) -> int:
-    document, parse_diagnostics = _load_documents(args.files)
-    if document is None:
-        _print_diagnostics(parse_diagnostics)
-        return int(ExitStatus.DIAGNOSTICS)
-    model = _resolve_or_fail(document)
-    if model is None:
-        return int(ExitStatus.DIAGNOSTICS)
+    model = _load(args)
     try:
         diagnostics = lint.run_lints(model, _selected_rules(args))
     except lint.UnknownRuleError as failure:
@@ -186,14 +194,8 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    document, parse_diagnostics = _load_documents(args.files)
-    if document is None:
-        _print_diagnostics(parse_diagnostics)
-        return int(ExitStatus.DIAGNOSTICS)
-    model = _resolve_or_fail(document)
-    if model is None:
-        return int(ExitStatus.DIAGNOSTICS)
-    phases = document.phases()
+    model = _load(args)
+    phases = model.document.phases()
     if args.phase is not None:
         phases = tuple(p for p in phases if p.phase == args.phase)
         if not phases:
@@ -202,9 +204,8 @@ def _cmd_map(args) -> int:
     elif not phases:
         print("no phase specifications in the input", file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
-    config = validator.CheckConfig(max_nesting_depth=args.max_depth)
     try:
-        practices = [togaf.map_phase(phase, model, config) for phase in phases]
+        practices = [togaf.map_phase(phase, model, _config(args)) for phase in phases]
     except togaf.MappingError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
@@ -213,13 +214,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_enact(args) -> int:
-    document, parse_diagnostics = _load_documents(args.files)
-    if document is None:
-        _print_diagnostics(parse_diagnostics)
-        return int(ExitStatus.DIAGNOSTICS)
-    model = _resolve_or_fail(document)
-    if model is None:
-        return int(ExitStatus.DIAGNOSTICS)
+    document = _load(args).document
     method = None
     for candidate in document.methods():
         if candidate.name == args.method or \
@@ -254,20 +249,13 @@ def _cmd_enact(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    document, parse_diagnostics = _load_documents(args.files)
-    if document is None:
-        _print_diagnostics(parse_diagnostics)
-        return int(ExitStatus.DIAGNOSTICS)
     if args.format == "dot":
-        sys.stdout.write(render.export_dot(document))
+        sys.stdout.write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
-    model = _resolve_or_fail(document)
-    if model is None:
-        return int(ExitStatus.DIAGNOSTICS)
-    config = validator.CheckConfig(max_nesting_depth=args.max_depth)
-    diagnostics = validator.check_wellformedness(model, config)
+    model = _load(args)
+    diagnostics = validator.check_wellformedness(model, _config(args))
     diagnostics += lint.run_lints(model)
-    sys.stdout.write(render.export_json(document, diagnostics=diagnostics))
+    sys.stdout.write(render.export_json(model.document, diagnostics=diagnostics))
     return _exit_for(diagnostics, args.strict)
 
 
@@ -304,6 +292,9 @@ def run(argv=None) -> int:
         return int(leave.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except (ParseError, ResolveError) as failure:
+        _print_diagnostics(failure.diagnostics)
+        return int(ExitStatus.DIAGNOSTICS)
     except SystemExit as leave:
         return int(leave.code or 0)
 

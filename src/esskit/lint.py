@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagnostics import Diagnostic, Severity
-from .model import Kernel, ModelDocument, Practice, Space, WorkProduct, dotted_id, element_id
+from .model import ModelDocument, Practice, Space, WorkProduct, dotted_id, element_id
 from .validator import ResolvedModel
 
 _WS = re.compile(r"\s+")
@@ -147,26 +147,9 @@ def _lint_unassigned_roles(document: ModelDocument, report) -> None:
 
 
 def _lint_opaque_spaces(document: ModelDocument, report) -> None:
-    def opaque(space: Space) -> bool:
-        return not space.goal and next(space.subtree_activities(), None) is None
-
-    def visit(space: Space, owner: str) -> None:
-        space_id = element_id(space, owner)
-        if opaque(space):
-            report("L004", space_id,
+    for ident, space, _, _ in document.walk():
+        if (isinstance(space, Space) and not space.goal
+                and next(space.subtree_activities(), None) is None):
+            report("L004", ident,
                    f"space {space.name!r} has no goal and no activities",
                    space.span)
-        for child in space.child_spaces():
-            visit(child, space_id)
-
-    for declaration in document.declarations:
-        if isinstance(declaration, Kernel):
-            for space in declaration.spaces():
-                if not space.goal:
-                    report("L004", element_id(space),
-                           f"space {space.name!r} has no goal and no "
-                           "activities", space.span)
-        elif isinstance(declaration, Practice):
-            owner = element_id(declaration)
-            for space in declaration.spaces():
-                visit(space, owner)

@@ -410,41 +410,43 @@ Element = Union[
 ]
 
 
-def element_name(element) -> str:
-    return element.name
+def walk_element(element, owner_id: str | None = None
+                 ) -> Iterator[tuple[str, Element, str | None, int]]:
+    """Yield (id, element, parent id, depth) for an element and its contents.
 
-
-def walk_element(element, owner_id: str | None = None) -> Iterator[tuple[str, Element]]:
-    """Yield (id, element) for an element and everything it contains, pre-order.
-
-    Kernel members are document-level (their ids carry no kernel prefix);
-    everything owned by a practice, space, alpha, or phase is qualified by
-    the owner's id. Phases are identified by their letter, not their name.
+    The order is pre-order. Kernel members are document-level: their ids
+    carry no kernel prefix, their parent id is None and their depth is 0.
+    Everything owned by a practice, space, alpha, or phase is qualified by
+    the owner's id, and its depth is the number of owners in that id, so a
+    practice's top-level spaces are at depth 1. Phases are identified by
+    their letter, not their name.
     """
     own_id = element_id(element, owner_id)
-    yield own_id, element
+    depth = own_id.count("/")
+    yield own_id, element, owner_id, depth
     if isinstance(element, Kernel):
         for member in element.members:
             yield from walk_element(member, None)
     elif isinstance(element, Alpha):
         for state in element.states:
-            yield f"{own_id}/{dotted_id('state', state.name)}", state
+            yield f"{own_id}/{dotted_id('state', state.name)}", state, own_id, depth + 1
     elif isinstance(element, (Space, Practice)):
         if isinstance(element, Practice):
             for wp in element.outputs:
-                yield f"{own_id}/{dotted_id('workproduct', wp.name)}", wp
+                yield (f"{own_id}/{dotted_id('workproduct', wp.name)}", wp, own_id,
+                       depth + 1)
         for member in element.members:
             yield from walk_element(member, own_id)
     elif isinstance(element, TogafPhase):
         for wp in element.outputs:
-            yield f"{own_id}/{dotted_id('workproduct', wp.name)}", wp
+            yield f"{own_id}/{dotted_id('workproduct', wp.name)}", wp, own_id, depth + 1
 
 
 def element_id(element, owner_id: str | None = None) -> str:
     prefix = f"{owner_id}/" if owner_id else ""
     if isinstance(element, TogafPhase):
         return prefix + dotted_id("phase", element.phase)
-    return prefix + dotted_id(element.kind, element_name(element))
+    return prefix + dotted_id(element.kind, element.name)
 
 
 class ModelDocument:
@@ -457,17 +459,17 @@ class ModelDocument:
 
     def __init__(self, declarations=()):
         self.declarations: tuple[Declaration, ...] = tuple(declarations)
+        self._walk = tuple(entry for declaration in self.declarations
+                           for entry in walk_element(declaration))
         index: dict[str, Element] = {}
         order: dict[str, int] = {}
         collisions: list[tuple[str, Element, Element]] = []
-        seq = 0
-        for ident, element in self.walk():
+        for seq, (ident, element, _, _) in enumerate(self._walk):
             if ident in index:
                 collisions.append((ident, index[ident], element))
             else:
                 index[ident] = element
                 order[ident] = seq
-            seq += 1
         self._index = index
         self._order = order
         self._collisions = tuple(collisions)
@@ -483,9 +485,12 @@ class ModelDocument:
     def __repr__(self) -> str:
         return f"ModelDocument({len(self.declarations)} declarations)"
 
-    def walk(self) -> Iterator[tuple[str, Element]]:
-        for declaration in self.declarations:
-            yield from walk_element(declaration)
+    def walk(self) -> tuple[tuple[str, Element, str | None, int], ...]:
+        """Every element as (id, element, parent id, depth), in document order.
+
+        Computed once at construction; see :func:`walk_element`.
+        """
+        return self._walk
 
     def id_collisions(self) -> tuple[tuple[str, Element, Element], ...]:
         """Duplicate ids, as (id, first element, later element) triples."""
@@ -495,18 +500,12 @@ class ModelDocument:
         """The element with that id, or None; absence is a value, not an error."""
         return self._index.get(ident)
 
-    def path_of(self, element) -> str | None:
-        for ident, candidate in self._index.items():
-            if candidate is element:
-                return ident
-        return None
-
     def order_of(self, ident: str) -> int:
         return self._order.get(ident, len(self._order))
 
     def iter_elements(self, kind: str) -> tuple[Element, ...]:
         """All elements of one kind in declaration order."""
-        return tuple(e for _, e in self.walk() if getattr(e, "kind", None) == kind)
+        return tuple(e for _, e, _, _ in self._walk if getattr(e, "kind", None) == kind)
 
     # Convenience accessors over top-level declarations.
 

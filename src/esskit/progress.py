@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .model import Activity, Alpha, Method, Practice, Space, dotted_id, element_id
+from .model import Activity, Alpha, Method, Practice, dotted_id, element_id, walk_element
 
 
 class AssessmentError(ValueError):
@@ -169,17 +169,8 @@ def practice_progress(practice: Practice, done: Iterable[str]) -> float:
     A practice with no activities reports 1.0 (vacuously complete). A done
     id that is not one of the practice's activities raises ValueError.
     """
-    practice_id = element_id(practice)
-    ids: list[str] = []
-
-    def visit(container, owner: str) -> None:
-        for member in container.members:
-            if isinstance(member, Activity):
-                ids.append(element_id(member, owner))
-            elif isinstance(member, Space):
-                visit(member, element_id(member, owner))
-
-    visit(practice, practice_id)
+    ids = [ident for ident, element, _, _ in walk_element(practice)
+           if isinstance(element, Activity)]
     done = set(done)
     foreign = done - set(ids)
     if foreign:

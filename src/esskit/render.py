@@ -31,6 +31,7 @@ from .model import (
     WorkProduct,
     dotted_id,
     element_id,
+    walk_element,
 )
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -289,7 +290,8 @@ def export_json(document: ModelDocument, *, diagnostics=(), assessments=()) -> s
                     "goal": member.goal,
                 })
             elif isinstance(member, WorkProduct):
-                tree["work_products"].append(_work_product_record(member, None))
+                tree["work_products"].append(
+                    _work_product_record(member, element_id(member)))
     for role in document.roles():
         tree["roles"].append({
             "id": element_id(role), "name": role.name, "kind": "role",
@@ -332,56 +334,62 @@ def _alpha_record(alpha: Alpha) -> dict:
     }
 
 
-def _work_product_record(wp: WorkProduct, owner_id: str | None) -> dict:
+def _work_product_record(wp: WorkProduct, ident: str) -> dict:
     return {
-        "id": element_id(wp, owner_id), "name": wp.name, "kind": "workproduct",
+        "id": ident, "name": wp.name, "kind": "workproduct",
         "category": wp.category.value, "description": wp.description,
     }
 
 
-def _practice_record(practice: Practice) -> dict:
-    own = element_id(practice)
-    practice_wp_names = {wp.name for wp in practice.outputs}
+def _work_product_ref(practice: Practice):
+    """Map a work-product name used by the practice's activities to its id.
 
-    def wp_ref(name: str) -> str:
-        # Practice outputs shadow kernel-level work products.
-        if name in practice_wp_names:
+    Practice outputs shadow kernel-level work products of the same name.
+    """
+    own = element_id(practice)
+    local = {wp.name for wp in practice.outputs}
+
+    def ref(name: str) -> str:
+        if name in local:
             return f"{own}/{dotted_id('workproduct', name)}"
         return dotted_id("workproduct", name)
 
-    def activity_record(activity: Activity, owner: str) -> dict:
-        return {
-            "id": element_id(activity, owner), "name": activity.name,
-            "kind": "activity",
-            "requires": [_grade_record(g) for g in activity.requires],
-            "produces": [{
-                "work_product": wp_ref(c.work_product),
-                "part": c.part,
-                "rendered": c.rendered_name(),
-            } for c in activity.produces],
-            "role": dotted_id("role", activity.role) if activity.role else None,
-            "tags": list(activity.tags),
-        }
+    return ref
 
-    def space_record(space: Space, owner: str) -> dict:
-        sid = element_id(space, owner)
-        return {
-            "id": sid, "name": space.name, "kind": "space",
-            "area": _area_id(space.area or practice.area),
-            "goal": space.goal,
-            "spaces": [space_record(s, sid) for s in space.child_spaces()],
-            "activities": [activity_record(a, sid) for a in space.activities()],
-        }
 
-    return {
+def _practice_record(practice: Practice) -> dict:
+    own = element_id(practice)
+    wp_ref = _work_product_ref(practice)
+    records = {own: {
         "id": own, "name": practice.name, "kind": "practice",
         "area": _area_id(practice.area),
         "goals": list(practice.goals),
         "inputs": list(practice.inputs),
-        "outputs": [_work_product_record(wp, own) for wp in practice.outputs],
-        "spaces": [space_record(s, own) for s in practice.spaces()],
-        "activities": [activity_record(a, own) for a in practice.stray_activities()],
-    }
+        "outputs": [], "spaces": [], "activities": [],
+    }}
+    for ident, element, parent_id, _ in walk_element(practice):
+        if isinstance(element, WorkProduct):
+            records[parent_id]["outputs"].append(_work_product_record(element, ident))
+        elif isinstance(element, Space):
+            records[ident] = {
+                "id": ident, "name": element.name, "kind": "space",
+                "area": _area_id(element.area or practice.area),
+                "goal": element.goal, "spaces": [], "activities": [],
+            }
+            records[parent_id]["spaces"].append(records[ident])
+        elif isinstance(element, Activity):
+            records[parent_id]["activities"].append({
+                "id": ident, "name": element.name, "kind": "activity",
+                "requires": [_grade_record(g) for g in element.requires],
+                "produces": [{
+                    "work_product": wp_ref(c.work_product),
+                    "part": c.part,
+                    "rendered": c.rendered_name(),
+                } for c in element.produces],
+                "role": dotted_id("role", element.role) if element.role else None,
+                "tags": list(element.tags),
+            })
+    return records[own]
 
 
 def _phase_record(phase: TogafPhase) -> dict:
@@ -402,7 +410,8 @@ def _phase_record(phase: TogafPhase) -> dict:
     return {
         "id": own, "name": phase.name, "kind": "phase", "phase": phase.phase,
         "objective": phase.objective,
-        "outputs": [_work_product_record(wp, own) for wp in phase.outputs],
+        "outputs": [_work_product_record(wp, element_id(wp, own))
+                    for wp in phase.outputs],
         "steps": [{
             "name": step.name, "goal": step.goal,
             "activities": [spec_record(s) for s in step.activities],
@@ -438,39 +447,20 @@ def export_dot(document: ModelDocument) -> str:
         edges.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}"{attrs};')
 
     for practice in document.practices():
-        own = element_id(practice)
-        node(own, practice.name, "component")
-        wp_ids = {}
-        for wp in practice.outputs:
-            wid = f"{own}/{dotted_id('workproduct', wp.name)}"
-            wp_ids[wp.name] = wid
-            node(wid, wp.name, "note")
-
-        def visit_space(space: Space, owner: str) -> None:
-            sid = element_id(space, owner)
-            node(sid, space.name, "folder")
-            edge(owner, sid)
-            for member in space.members:
-                if isinstance(member, Space):
-                    visit_space(member, sid)
-                else:
-                    visit_activity(member, sid)
-
-        def visit_activity(activity: Activity, owner: str) -> None:
-            aid = element_id(activity, owner)
-            node(aid, activity.name)
-            edge(owner, aid)
-            for contribution in activity.produces:
-                target = wp_ids.get(
-                    contribution.work_product,
-                    dotted_id("workproduct", contribution.work_product))
-                edge(aid, target, contribution.part)
-
-        for member in practice.members:
-            if isinstance(member, Space):
-                visit_space(member, own)
+        wp_ref = _work_product_ref(practice)
+        for ident, element, parent_id, _ in walk_element(practice):
+            if isinstance(element, Practice):
+                node(ident, element.name, "component")
+            elif isinstance(element, WorkProduct):
+                node(ident, element.name, "note")
+            elif isinstance(element, Space):
+                node(ident, element.name, "folder")
+                edge(parent_id, ident)
             else:
-                visit_activity(member, own)
+                node(ident, element.name)
+                edge(parent_id, ident)
+                for contribution in element.produces:
+                    edge(ident, wp_ref(contribution.work_product), contribution.part)
 
     lines.extend(edges)
     lines.append("}")

@@ -152,21 +152,22 @@ def resolve(document: ModelDocument) -> ResolvedModel:
             if grade.competency not in model.competencies:
                 dangling(element_id(role), role.span, "competency", grade.competency)
 
-    for practice in document.practices():
-        practice_id = element_id(practice)
-        local_wps = {wp.name for wp in practice.outputs}
-        for owner_id, activity in _practice_activities(practice, practice_id):
-            activity_id = element_id(activity, owner_id)
-            for grade in activity.requires:
-                if grade.competency not in model.competencies:
-                    dangling(activity_id, activity.span, "competency",
-                             grade.competency)
-            if activity.role is not None and activity.role not in model.roles:
-                dangling(activity_id, activity.span, "role", activity.role)
-            for contribution in activity.produces:
-                name = contribution.work_product
-                if name not in local_wps and name not in model.kernel_work_products:
-                    dangling(activity_id, activity.span, "work product", name)
+    # The walk lists every activity after the practice that owns it.
+    local_wps: set[str] = set()
+    for activity_id, element, _, _ in document.walk():
+        if isinstance(element, Practice):
+            local_wps = {wp.name for wp in element.outputs}
+        if not isinstance(element, Activity):
+            continue
+        for grade in element.requires:
+            if grade.competency not in model.competencies:
+                dangling(activity_id, element.span, "competency", grade.competency)
+        if element.role is not None and element.role not in model.roles:
+            dangling(activity_id, element.span, "role", element.role)
+        for contribution in element.produces:
+            name = contribution.work_product
+            if name not in local_wps and name not in model.kernel_work_products:
+                dangling(activity_id, element.span, "work product", name)
 
     for method in document.methods():
         method_id = element_id(method)
@@ -202,24 +203,6 @@ def _check_spec_refs(spec: ActivitySpec, owner: str, declared: set[str],
         _check_spec_refs(sub, path, declared, model, dangling)
 
 
-def _practice_activities(practice: Practice, practice_id: str):
-    """Yield (owner id, activity) for every activity in the practice tree."""
-
-    def visit_space(space: Space, owner: str):
-        space_id = element_id(space, owner)
-        for member in space.members:
-            if isinstance(member, Activity):
-                yield space_id, member
-            else:
-                yield from visit_space(member, space_id)
-
-    for member in practice.members:
-        if isinstance(member, Activity):
-            yield practice_id, member
-        else:
-            yield from visit_space(member, practice_id)
-
-
 def _ordered(document: ModelDocument, diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diagnostics,
                   key=lambda d: (document.order_of(d.path), d.rule, d.message))
@@ -231,7 +214,7 @@ def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfil
     for space in practice.spaces():
         effective = space.area or practice.area
         profile.counts[effective] += 1
-    for _, activity in _practice_activities(practice, element_id(practice)):
+    for activity in practice.all_activities():
         for grade in activity.requires:
             profile.counts[model.competency_area(grade.competency)] += 1
     return profile
@@ -270,23 +253,6 @@ def check_wellformedness(model: ResolvedModel,
             report(PRACTICE_WITHOUT_GOAL, Severity.ERROR, practice_id,
                    "practice declares no goal", practice.span)
 
-        for stray in practice.stray_activities():
-            report(ACTIVITY_WITHOUT_SPACE, Severity.ERROR,
-                   element_id(stray, practice_id),
-                   f"activity {stray.name!r} is attached to no activity space",
-                   stray.span)
-
-        _check_tree_depth(practice, practice_id, config, report)
-
-        for owner_id, activity in _practice_activities(practice, practice_id):
-            for grade in activity.requires:
-                if not 1 <= grade.level <= 5:
-                    report(LEVEL_OUT_OF_RANGE, Severity.ERROR,
-                           element_id(activity, owner_id),
-                           f"required level {grade.level} for "
-                           f"{grade.competency!r} is outside 1..5",
-                           activity.span)
-
         _check_contribution_parts(practice, practice_id, report)
 
         profile = compute_area_profile(model, practice)
@@ -296,22 +262,26 @@ def check_wellformedness(model: ResolvedModel,
                    f"declared area {practice.area.value} but element counts "
                    f"favor {leaders}", practice.span)
 
+    for ident, element, parent_id, depth in document.walk():
+        # Kernel spaces have no parent here; they nest by name, checked above.
+        if isinstance(element, Space) and parent_id is not None:
+            if depth > config.max_nesting_depth:
+                report(NESTING_TOO_DEEP, Severity.ERROR, ident,
+                       f"space nested at depth {depth} exceeds the maximum of "
+                       f"{config.max_nesting_depth}", element.span)
+        elif isinstance(element, Activity):
+            if depth == 1:
+                report(ACTIVITY_WITHOUT_SPACE, Severity.ERROR, ident,
+                       f"activity {element.name!r} is attached to no activity "
+                       "space", element.span)
+            for grade in element.requires:
+                if not 1 <= grade.level <= 5:
+                    report(LEVEL_OUT_OF_RANGE, Severity.ERROR, ident,
+                           f"required level {grade.level} for "
+                           f"{grade.competency!r} is outside 1..5",
+                           element.span)
+
     return _ordered(document, diagnostics)
-
-
-def _check_tree_depth(practice: Practice, practice_id: str,
-                      config: CheckConfig, report) -> None:
-    def visit(space: Space, owner: str, depth: int) -> None:
-        space_id = element_id(space, owner)
-        if depth > config.max_nesting_depth:
-            report(NESTING_TOO_DEEP, Severity.ERROR, space_id,
-                   f"space nested at depth {depth} exceeds the maximum of "
-                   f"{config.max_nesting_depth}", space.span)
-        for child in space.child_spaces():
-            visit(child, space_id, depth + 1)
-
-    for space in practice.spaces():
-        visit(space, practice_id, 1)
 
 
 def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
@@ -350,7 +320,7 @@ def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
 
 def _check_contribution_parts(practice: Practice, practice_id: str, report) -> None:
     contributions: dict[str, list[tuple[Activity, str | None]]] = {}
-    for _, activity in _practice_activities(practice, practice_id):
+    for activity in practice.all_activities():
         for contribution in activity.produces:
             contributions.setdefault(contribution.work_product, []).append(
                 (activity, contribution.part))

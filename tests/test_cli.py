@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -207,3 +208,60 @@ def test_parse_errors_exit_1(cli, tmp_path):
     code, out, _ = cli("check", str(bad))
     assert code == 1
     assert "P001 error" in out
+
+
+def test_undecodable_input_is_io_error(cli, tmp_path):
+    bad = tmp_path / "latin1.ess"
+    bad.write_bytes(b'kernel "K\xff" { }')
+    code, out, err = cli("check", str(bad))
+    assert code == 3 and out == ""
+    assert err.startswith(f"cannot read {bad}: ")
+    assert "0xff" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--max-depth", "0"),
+    ("export", "--max-depth", "-1"),
+    ("enact", "--method", "adm", "--steps", "-3"),
+])
+def test_out_of_range_counts_are_usage_errors(cli, corpus_dir, argv):
+    code, out, err = cli(*argv, *_corpus_args(corpus_dir))
+    assert code == 2 and out == ""
+    assert "must be at least" in err
+
+
+def test_enact_zero_steps_prints_nothing(cli, corpus_dir):
+    args = _corpus_args(corpus_dir)
+    assert cli("enact", "--method", "adm", "--steps", "0", *args) == (0, "", "")
+    assert cli("enact", "--method", "adm", "--steps", "0", "--trace",
+               *args) == (0, "", "")
+
+
+# sha256 of stdout on the bundled corpus, run from its directory with bare
+# file names in sorted order; any change to these bytes is a format change.
+_PINNED_STDOUT = [
+    (("check",),
+     "14010cd5eacf87dd3f8533757328cbe369f0d803991ab127a7fe95dd400ce94b"),
+    (("lint",),
+     "58f8031ccd64b8fac32684454f4976b5b1b46cd3900e381328c0950f377cb17e"),
+    (("map",),
+     "8b65f6ec9782e0273c433563294a25f340efc5933f4e9f5b9a81c864c8f0de76"),
+    (("export", "--format", "tree"),
+     "1490c2274d94b0846cd8b99facd88aab791971b9d114590296bdbf286553fa3d"),
+    (("export", "--format", "dot"),
+     "27689581b76ca4750ac8f298b63cea95db0e2e3f8f861afce62389089b9939b0"),
+    (("enact", "--method", "adm", "--steps", "10"),
+     "e203abe397d298cf1c15c21e2483058799d064bdc997d9f436baa804a81e1f23"),
+    (("enact", "--method", "adm", "--steps", "10", "--trace"),
+     "fe1cdba672464e77ae6b9352071bf97688aa583ecaf5ff0d703ba6304a86fb39"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in _PINNED_STDOUT])
+def test_corpus_stdout_bytes_are_pinned(cli, corpus_dir, monkeypatch, argv, digest):
+    monkeypatch.chdir(corpus_dir)
+    names = sorted(p.name for p in corpus_dir.glob("*.ess"))
+    code, out, err = cli(*argv, *names)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

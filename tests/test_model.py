@@ -8,9 +8,11 @@ from esskit.model import (
     AlphaState,
     Area,
     Contribution,
+    Kernel,
     ModelDocument,
     Practice,
     Space,
+    WorkProduct,
     WorkProductCategory,
     dotted_id,
     element_id,
@@ -126,3 +128,50 @@ def test_merge_preserves_order(corpus):
 
 def test_dotted_id():
     assert dotted_id("practice", "Phase A") == "practice.phase_a"
+
+
+def test_walk_carries_ids_parents_and_depths():
+    kernel = Kernel(name="K", members=(
+        Alpha(name="Work", area=Area.ENDEAVOR,
+              states=(AlphaState(name="Started", checklist=("a",)),)),
+        Space(name="Explore", area=Area.CUSTOMER),
+    ))
+    practice = Practice(
+        name="P", area=Area.SOLUTION, goals=("g",),
+        outputs=(WorkProduct(name="Plan"),),
+        members=(
+            Space(name="Outer", members=(
+                Space(name="Inner", members=(Activity(name="Draft"),)),
+                Activity(name="Review"))),
+            Activity(name="Loose"),
+        ))
+    again = Kernel(name="L", members=(Space(name="Explore", area=Area.SOLUTION),))
+    document = ModelDocument([kernel, practice, again])
+    outer = "practice.p/space.outer"
+    assert [(ident, parent, depth) for ident, _, parent, depth in document.walk()] == [
+        ("kernel.k", None, 0),
+        ("alpha.work", None, 0),
+        ("alpha.work/state.started", "alpha.work", 1),
+        ("space.explore", None, 0),
+        ("practice.p", None, 0),
+        ("practice.p/workproduct.plan", "practice.p", 1),
+        (outer, "practice.p", 1),
+        (f"{outer}/space.inner", outer, 2),
+        (f"{outer}/space.inner/activity.draft", f"{outer}/space.inner", 3),
+        (f"{outer}/activity.review", outer, 2),
+        ("practice.p/activity.loose", "practice.p", 1),
+        ("kernel.l", None, 0),
+        ("space.explore", None, 0),
+    ]
+    assert document.walk() is document.walk()
+    for kind in ("kernel", "alpha", "state", "space", "workproduct",
+                 "activity", "practice", "role"):
+        assert document.iter_elements(kind) == tuple(
+            element for _, element, _, _ in document.walk()
+            if getattr(element, "kind", None) == kind)
+    first: dict = {}
+    for ident, element, _, _ in document.walk():
+        first.setdefault(ident, element)
+    for ident in first:
+        assert lookup(document, ident) is first[ident]
+    assert lookup(document, "space.explore").area is Area.CUSTOMER
