@@ -6,8 +6,8 @@ trace of a method), ``export`` (machine-readable tree or DOT containment
 graph), and ``corpus`` (materialize the bundled corpus).
 
 Exit codes: 0 success, 1 error diagnostics (or any diagnostics under
-``--strict``), 2 usage error, 3 unreadable or undecodable input, or
-unwritable output.
+``--strict``, or input nested too deeply to process), 2 usage error,
+3 unreadable or undecodable input, or unwritable output.
 Identical inputs and flags produce byte-identical standard output.
 """
 
@@ -294,6 +294,10 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ParseError, ResolveError) as failure:
         _print_diagnostics(failure.diagnostics)
+        return int(ExitStatus.DIAGNOSTICS)
+    except RecursionError:
+        print(f"esskit {args.command}: input nested too deeply to process",
+              file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
     except SystemExit as leave:
         return int(leave.code or 0)

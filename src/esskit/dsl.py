@@ -38,6 +38,7 @@ validator. Syntax errors and same-file duplicate ids raise
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ParseError, Severity, SourceSpan
@@ -71,9 +72,20 @@ DUPLICATE_RULE = "P002"
 
 _TOP_KEYWORDS = ("kernel", "practice", "method", "role", "togaf_phase")
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_BODY = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+# One alternative per token kind, tried at each position. ``open`` matches
+# what ``STRING`` cannot: a string cut short by a line break, the end of the
+# input or a backslash not followed by a quote. The classes are spelled out
+# because ``\s``, ``\d`` and ``\w`` also match non-ASCII characters.
+_TOKEN = re.compile(r"""
+      (?P<skip>   [ \t\r\n]+ | \#[^\n]* )
+    | (?P<STRING> " (?: [^"\\\n] | \\" )* " )
+    | (?P<open>   " (?: [^"\\\n] | \\" )* )
+    | (?P<INT>    [0-9]+ )
+    | (?P<IDENT>  [A-Za-z_] [A-Za-z0-9_]* )
+    | (?P<LBRACE> \{ )
+    | (?P<RBRACE> \} )
+    | (?P<AT>     @ )
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -99,96 +111,49 @@ class _SyntaxFailure(Exception):
         super().__init__(diagnostic.message)
 
 
-def _error(file: str, line: int, col: int, message: str, *, hint: str | None = None,
-           end_line: int | None = None, end_col: int | None = None) -> _SyntaxFailure:
+def _diagnostic(file: str, line: int, col: int, message: str, *,
+                hint: str | None = None, end_line: int | None = None,
+                end_col: int | None = None) -> Diagnostic:
     span = SourceSpan(file, line, col, end_line or line, end_col or col)
-    return _SyntaxFailure(Diagnostic(
-        rule=SYNTAX_RULE, severity=Severity.ERROR, path="", message=message,
-        span=span, hint=hint,
-    ))
+    return Diagnostic(rule=SYNTAX_RULE, severity=Severity.ERROR, path="",
+                      message=message, span=span, hint=hint)
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    """Token stream for ``source``; lexical errors raise :class:`ParseError`."""
+    """Token stream for ``source``; lexical errors raise :class:`ParseError`.
+
+    Strings cannot hold a line break, so no token spans one and only
+    ``skip`` matches move to a new line.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        col = pos - line_start + 1
+        kind = match.lastgroup if match else None
+        if kind in (None, "open"):
+            if kind is None:
+                message = f"unexpected character {source[pos]!r}"
+            elif source.startswith("\\", match.end()):
+                col += match.end() - pos
+                message = "invalid escape sequence; only \\\" is supported"
             else:
-                col += 1
-            i += 1
-
-    try:
-        while i < n:
-            ch = source[i]
-            if ch in " \t\r\n":
-                advance()
-                continue
-            if ch == "#":
-                while i < n and source[i] != "\n":
-                    advance()
-                continue
-            start_line, start_col = line, col
-            if ch == "{":
-                tokens.append(Token("LBRACE", "{", start_line, start_col, line, col))
-                advance()
-                continue
-            if ch == "}":
-                tokens.append(Token("RBRACE", "}", start_line, start_col, line, col))
-                advance()
-                continue
-            if ch == "@":
-                tokens.append(Token("AT", "@", start_line, start_col, line, col))
-                advance()
-                continue
-            if ch == '"':
-                advance()
-                parts: list[str] = []
-                while True:
-                    if i >= n or source[i] == "\n":
-                        raise _error(file, start_line, start_col, "unterminated string")
-                    c = source[i]
-                    if c == "\\":
-                        if i + 1 < n and source[i + 1] == '"':
-                            parts.append('"')
-                            advance(2)
-                            continue
-                        raise _error(file, line, col,
-                                     "invalid escape sequence; only \\\" is supported")
-                    if c == '"':
-                        end_line, end_col = line, col
-                        advance()
-                        break
-                    parts.append(c)
-                    advance()
-                tokens.append(Token("STRING", "".join(parts),
-                                    start_line, start_col, end_line, end_col))
-                continue
-            if ch in _DIGITS:
-                text = []
-                while i < n and source[i] in _DIGITS:
-                    text.append(source[i])
-                    advance()
-                tokens.append(Token("INT", int("".join(text)),
-                                    start_line, start_col, line, col - 1))
-                continue
-            if ch in _IDENT_START:
-                text = []
-                while i < n and source[i] in _IDENT_BODY:
-                    text.append(source[i])
-                    advance()
-                tokens.append(Token("IDENT", "".join(text),
-                                    start_line, start_col, line, col - 1))
-                continue
-            raise _error(file, start_line, start_col, f"unexpected character {ch!r}")
-    except _SyntaxFailure as failure:
-        raise ParseError([failure.diagnostic]) from None
+                message = "unterminated string"
+            raise ParseError([_diagnostic(file, line, col, message)])
+        end = match.end()
+        if kind == "skip":
+            breaks = source.count("\n", pos, end)
+            if breaks:
+                line += breaks
+                line_start = source.rindex("\n", pos, end) + 1
+        else:
+            text = match.group()
+            value = (int(text) if kind == "INT"
+                     else text[1:-1].replace('\\"', '"') if kind == "STRING"
+                     else text)
+            tokens.append(Token(kind, value, line, col, line, col + end - pos - 1))
+        pos = end
+    col = len(source) - line_start + 1
     tokens.append(Token("EOF", "", line, col, line, col))
     return tokens
 
@@ -222,8 +187,9 @@ class _Parser:
     def _fail(self, message: str, *, hint: str | None = None,
               token: Token | None = None) -> _SyntaxFailure:
         token = token or self.current
-        return _error(self.file, token.line, token.col, message, hint=hint,
-                      end_line=token.end_line, end_col=token.end_col)
+        return _SyntaxFailure(_diagnostic(
+            self.file, token.line, token.col, message, hint=hint,
+            end_line=token.end_line, end_col=token.end_col))
 
     def _expect(self, token_type: str, hint: str | None = None) -> Token:
         if self.current.type != token_type:
@@ -252,19 +218,22 @@ class _Parser:
         return SourceSpan(self.file, start.line, start.col,
                           self.last.end_line, self.last.end_col)
 
-    def _named_string(self, what: str) -> tuple[str, Token]:
-        token = self._expect("STRING")
-        name = str(token.value)
+    def _named(self, what: str, token_type: str = "STRING") -> str:
+        """A declared name: a string, or an IDENT whose underscores are spaces.
+
+        A name must yield an id, so one with no usable characters is an error.
+        """
+        token = self._expect(token_type)
+        name = str(token.value) if token_type == "STRING" else _decode(str(token.value))
         try:
             slug(name)
         except ValueError:
             raise self._fail(f"{what} name {name!r} contains no usable characters",
                              token=token) from None
-        return name, token
+        return name
 
-    def _named_ident(self, what: str) -> tuple[str, Token]:
-        token = self._expect("IDENT")
-        return _decode(str(token.value)), token
+    def _competency_ref(self) -> str:
+        return _decode(str(self._expect("IDENT").value))
 
     def _area_ref(self) -> Area:
         token = self._expect("IDENT", hint="an area name (Customer, Solution, Endeavor)")
@@ -320,7 +289,7 @@ class _Parser:
 
     def _parse_kernel(self) -> Kernel:
         start = self._expect_word("kernel")
-        name, _ = self._named_string("kernel")
+        name = self._named("kernel")
         self._expect("LBRACE")
         members = []
         while not self.current.type == "RBRACE":
@@ -355,7 +324,7 @@ class _Parser:
 
     def _parse_alpha(self) -> Alpha:
         start = self._expect_word("alpha")
-        name, _ = self._named_ident("alpha")
+        name = self._named("alpha", "IDENT")
         self._expect_word("area")
         area = self._area_ref()
         self._expect("LBRACE")
@@ -370,7 +339,7 @@ class _Parser:
 
     def _parse_state(self) -> AlphaState:
         start = self._expect_word("state")
-        name, _ = self._named_ident("state")
+        name = self._named("state", "IDENT")
         self._expect("LBRACE")
         checklist = []
         while self._at_word("check"):
@@ -385,7 +354,7 @@ class _Parser:
 
     def _parse_competency(self) -> Competency:
         start = self._expect_word("competency")
-        name, _ = self._named_ident("competency")
+        name = self._named("competency", "IDENT")
         self._expect_word("area")
         area = self._area_ref()
         max_level = 5
@@ -396,7 +365,7 @@ class _Parser:
 
     def _parse_space_decl(self) -> Space:
         start = self._expect_word("space")
-        name, _ = self._named_string("space")
+        name = self._named("space")
         self._expect_word("area")
         area = self._area_ref()
         parent = None
@@ -410,7 +379,7 @@ class _Parser:
 
     def _parse_work_product(self, keyword: str, *, require_category: bool = True) -> WorkProduct:
         start = self._expect_word(keyword)
-        name, _ = self._named_string("work product")
+        name = self._named("work product")
         category = WorkProductCategory.OTHER
         if require_category or self._at_word("category"):
             self._expect_word("category")
@@ -429,12 +398,12 @@ class _Parser:
 
     def _parse_role(self) -> Role:
         start = self._expect_word("role")
-        name, _ = self._named_string("role")
+        name = self._named("role")
         self._expect("LBRACE")
         grades = []
         while self._at_word("competency"):
             self._advance()
-            competency, _ = self._named_ident("competency")
+            competency = self._competency_ref()
             self._expect("AT")
             level = int(self._expect("INT").value)
             grades.append(CompetencyGrade(competency=competency, level=level))
@@ -447,7 +416,7 @@ class _Parser:
 
     def _parse_practice(self) -> Practice:
         start = self._expect_word("practice")
-        name, _ = self._named_string("practice")
+        name = self._named("practice")
         self._expect_word("area")
         area = self._area_ref()
         self._expect("LBRACE")
@@ -479,7 +448,7 @@ class _Parser:
 
     def _parse_space_block(self) -> Space:
         start = self._expect_word("space")
-        name, _ = self._named_string("space")
+        name = self._named("space")
         goal = None
         if self._take_word("goal"):
             goal = str(self._expect("STRING").value)
@@ -498,11 +467,11 @@ class _Parser:
 
     def _parse_activity(self) -> Activity:
         start = self._expect_word("activity")
-        name, _ = self._named_string("activity")
+        name = self._named("activity")
         requires = []
         while self._at_word("requires"):
             self._advance()
-            competency, _ = self._named_ident("competency")
+            competency = self._competency_ref()
             self._expect("AT")
             level = int(self._expect("INT").value)
             requires.append(CompetencyGrade(competency=competency, level=level))
@@ -522,7 +491,7 @@ class _Parser:
 
     def _parse_method(self) -> Method:
         start = self._expect_word("method")
-        name, _ = self._named_string("method")
+        name = self._named("method")
         self._expect("LBRACE")
         preamble = None
         if self._take_word("preamble"):
@@ -549,7 +518,7 @@ class _Parser:
         if phase_id not in PHASE_IDS:
             raise self._fail(f"unknown phase id {phase_id!r}",
                              hint="one of " + ", ".join(PHASE_IDS), token=id_token)
-        name, _ = self._named_string("phase")
+        name = self._named("phase")
         self._expect("LBRACE")
         self._expect_word("objective")
         objective = str(self._expect("STRING").value)
@@ -569,7 +538,7 @@ class _Parser:
 
     def _parse_step(self) -> StepSpec:
         start = self._expect_word("step")
-        name, _ = self._named_string("step")
+        name = self._named("step")
         goal = None
         if self._take_word("goal"):
             goal = str(self._expect("STRING").value)
@@ -584,7 +553,7 @@ class _Parser:
 
     def _parse_spec_activity(self) -> ActivitySpec:
         start = self._expect_word("activity")
-        name, _ = self._named_string("activity")
+        name = self._named("activity")
         tags = []
         while self._at_word("tag"):
             self._advance()
@@ -623,12 +592,18 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
 
     Raises :class:`ParseError` with every diagnostic found when the text has
     syntax errors or declares the same id twice; warnings never block.
+    Blocks nested deeper than the interpreter's recursion limit allows are a
+    syntax error at the token the parser had reached.
     """
     tokens = tokenize(source, file)
     parser = _Parser(tokens, file)
-    declarations = parser.parse_document()
+    try:
+        declarations = parser.parse_document()
+        document = ModelDocument(declarations)
+    except RecursionError:
+        too_deep = parser._fail("blocks nested too deeply to parse")
+        raise ParseError([*parser.diagnostics, too_deep.diagnostic]) from None
     diagnostics = list(parser.diagnostics)
-    document = ModelDocument(declarations)
     for ident, first, second in document.id_collisions():
         first_at = first.span.location() if first.span else "an earlier declaration"
         diagnostics.append(Diagnostic(

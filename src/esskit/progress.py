@@ -73,21 +73,49 @@ class Assessment:
 
 @dataclass(frozen=True)
 class EnactmentState:
-    """Where an enactment stands: method, iteration, current practice, trace.
+    """Where an enactment stands: the method and how many practices completed.
 
-    ``current`` is a practice id; it equals the preamble's id only before the
-    first cycle practice starts. ``trace`` holds completions in order.
+    Position 0 is the preamble when there is one, else the first cycle
+    practice; every later position follows in closed form, so a cycle may
+    list a practice more than once. Build the first state with
+    :func:`start_enactment`, which validates the method.
     """
 
     method: Method
-    iteration: int
-    current: str
-    trace: tuple[tuple[int, str], ...] = ()
+    step: int = 0
+
+    def _positions(self, steps: range) -> list[tuple[int, str]]:
+        """(iteration, practice id) at each enactment position in ``steps``."""
+        method = self.method
+        offset = 0 if method.preamble is None else 1
+        cycle = [dotted_id("practice", name) for name in method.cycle]
+        positions = []
+        for step in steps:
+            if step < offset:
+                positions.append((0, dotted_id("practice", method.preamble)))
+            else:
+                iteration, index = divmod(step - offset, len(cycle))
+                positions.append((iteration, cycle[index]))
+        return positions
+
+    @property
+    def iteration(self) -> int:
+        """Completed passes through the cycle; 0 at and right after the preamble."""
+        return self._positions(range(self.step, self.step + 1))[0][0]
+
+    @property
+    def current(self) -> str:
+        """The current practice id."""
+        return self._positions(range(self.step, self.step + 1))[0][1]
 
     @property
     def at_preamble(self) -> bool:
-        return (self.method.preamble is not None
-                and self.current == dotted_id("practice", self.method.preamble))
+        return self.method.preamble is not None and self.step == 0
+
+    @property
+    def trace(self) -> tuple[tuple[int, str], ...]:
+        """Completions in order, as (iteration, practice id) pairs."""
+        return tuple(self._positions(range(self.step)))
 
 
 def _validate_method(method: Method) -> None:
@@ -108,9 +136,7 @@ def _validate_method(method: Method) -> None:
 def start_enactment(method: Method) -> EnactmentState:
     """Initial state: at the preamble when there is one, else at the cycle head."""
     _validate_method(method)
-    first = method.preamble if method.preamble is not None else method.cycle[0]
-    return EnactmentState(method=method, iteration=0,
-                          current=dotted_id("practice", first))
+    return EnactmentState(method=method)
 
 
 def next_phase(state: EnactmentState) -> EnactmentState:
@@ -121,27 +147,7 @@ def next_phase(state: EnactmentState) -> EnactmentState:
     and the iteration increments. The completed practice is appended to the
     trace. Concurrent practices never appear here.
     """
-    method = state.method
-    _validate_method(method)
-    cycle_ids = [dotted_id("practice", name) for name in method.cycle]
-    completed = (state.iteration, state.current)
-    if state.at_preamble:
-        return EnactmentState(method=method, iteration=state.iteration,
-                              current=cycle_ids[0],
-                              trace=state.trace + (completed,))
-    try:
-        position = cycle_ids.index(state.current)
-    except ValueError:
-        raise EnactmentError(
-            f"current practice {state.current!r} is not part of method "
-            f"{method.name!r}") from None
-    if position + 1 < len(cycle_ids):
-        return EnactmentState(method=method, iteration=state.iteration,
-                              current=cycle_ids[position + 1],
-                              trace=state.trace + (completed,))
-    return EnactmentState(method=method, iteration=state.iteration + 1,
-                          current=cycle_ids[0],
-                          trace=state.trace + (completed,))
+    return EnactmentState(method=state.method, step=state.step + 1)
 
 
 def active_practices(state: EnactmentState) -> frozenset[str]:
@@ -155,12 +161,8 @@ def visitation(method: Method, steps: int) -> list[str]:
     """Practice ids of the first ``steps`` enactment positions."""
     if steps <= 0:
         return []
-    state = start_enactment(method)
-    visited = [state.current]
-    for _ in range(steps - 1):
-        state = next_phase(state)
-        visited.append(state.current)
-    return visited
+    positions = start_enactment(method)._positions(range(steps))
+    return [practice_id for _, practice_id in positions]
 
 
 def practice_progress(practice: Practice, done: Iterable[str]) -> float:

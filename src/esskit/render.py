@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 
-from .diagnostics import Diagnostic
 from .model import (
     Activity,
     ActivitySpec,

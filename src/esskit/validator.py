@@ -20,17 +20,10 @@ from .diagnostics import Diagnostic, ResolveError, Severity
 from .model import (
     Activity,
     ActivitySpec,
-    Alpha,
     Area,
-    Competency,
-    Kernel,
-    Method,
     ModelDocument,
     Practice,
-    Role,
     Space,
-    TogafPhase,
-    WorkProduct,
     dotted_id,
     element_id,
 )

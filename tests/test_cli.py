@@ -219,6 +219,26 @@ def test_undecodable_input_is_io_error(cli, tmp_path):
     assert "0xff" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", [600, 3000])
+@pytest.mark.parametrize("command", [("check",), ("lint",), ("export",),
+                                     ("export", "--format", "dot")],
+                         ids=" ".join)
+def test_deep_nesting_exits_without_traceback(cli, tmp_path, depth, command):
+    deep = tmp_path / "deep.ess"
+    deep.write_text('practice "P" area Customer { goal "g" '
+                    + 'space "S" { ' * depth + 'activity "A" ' + "} " * depth + "}")
+    code, out, err = cli(*command, str(deep))
+    if depth == 3000:
+        assert code == 1 and err == ""
+        assert "P001 error: blocks nested too deeply to parse" in out
+    elif err:
+        # Parsed, but a later stage ran out of stack: one line, no output.
+        assert code == 1 and out == ""
+        assert err == f"esskit {command[0]}: input nested too deeply to process\n"
+    else:
+        assert code in (0, 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--max-depth", "0"),
     ("export", "--max-depth", "-1"),

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esskit import dsl, render
+from esskit import dsl, render, togaf
 from esskit.diagnostics import ParseError
 from esskit.model import Area, ModelDocument, Role, WorkProductCategory
 
@@ -164,3 +166,107 @@ def test_render_rejects_backslash():
     document = ModelDocument([Role(name="bad\\name", competencies=())])
     with pytest.raises(ValueError):
         render.render_canonical(document)
+
+
+def test_deep_nesting_is_a_parse_error():
+    body = 'space "S" { ' * 3000 + "} " * 3000
+    diagnostics = _diagnostics('practice "P" area Customer { goal "g" ' + body + "}")
+    assert diagnostics[-1].rule == dsl.SYNTAX_RULE
+    assert diagnostics[-1].message == "blocks nested too deeply to parse"
+    assert diagnostics[-1].span.file == "bad.ess"
+
+
+def test_underscore_only_names_are_parse_errors():
+    diagnostics = _diagnostics(
+        'kernel "K" { alpha A area Customer { state _ { check "c" } } }')
+    assert [(d.rule, d.message) for d in diagnostics] == [
+        ("P001", "state name ' ' contains no usable characters")]
+
+
+# Properties -------------------------------------------------------------------
+
+# Lexemes of every token kind, each as it appears in the source.
+_LEXEMES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True).map(lambda t: ("IDENT", t)),
+    st.from_regex(r"[0-9]+", fullmatch=True).map(lambda t: ("INT", t)),
+    st.from_regex(r'"(?:[^"\\\n]|\\")*"', fullmatch=True).map(lambda t: ("STRING", t)),
+    st.sampled_from([("LBRACE", "{"), ("RBRACE", "}"), ("AT", "@")]),
+)
+_SEPARATORS = st.one_of(st.from_regex(r"[ \t\r\n]+", fullmatch=True),
+                        st.from_regex(r"#[^\n]*\n", fullmatch=True))
+# Text built from the language's own words, so that parsing gets past the
+# first token more often than on arbitrary text.
+_WORDS = st.lists(st.sampled_from([
+    "kernel", "practice", "method", "role", "togaf_phase", "area", "alpha",
+    "state", "check", "competency", "levels", "space", "workproduct", "category",
+    "goal", "input", "output", "activity", "requires", "produces", "tag", "in",
+    "preamble", "cycle", "concurrent", "objective", "step", "feeds", "color",
+    "description", "Customer", "Solution", "green", "A", "_", "__", "3", "0",
+    "{", "}", "@", '"x"', '"x: y"', '"!"', '"', "\\", "#", "\n", "\r", "é"]),
+    max_size=40).map(" ".join)
+
+
+def _lexed(source: str):
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    words = [t for t in dsl.tokenize(source) if t.type in ("IDENT", "STRING", "INT")]
+    return source, line_starts, words
+
+
+_CORPUS = [_lexed(text) for name, text in sorted(togaf.corpus_files().items())
+           if name.endswith(".ess")]
+
+
+@st.composite
+def _mutated_corpus(draw):
+    """A corpus file with one to three words, names or numbers replaced, so
+    that parsing reaches the declaration rules with odd names and numbers."""
+    source, line_starts, words = draw(st.sampled_from(_CORPUS))
+    chosen = draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=3,
+                           unique=True))
+    for index in sorted(chosen, reverse=True):
+        token = words[index]
+        start = line_starts[token.line - 1] + token.col - 1
+        end = line_starts[token.end_line - 1] + token.end_col
+        replacement = draw(st.sampled_from(
+            ["_", "__", "A", '"!"', '""', "0", "9", "{", "}", "@", ""]))
+        source = source[:start] + replacement + source[end:]
+    return source
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(source=st.one_of(st.text(), _WORDS))
+def test_tokenize_and_parse_are_total(source):
+    for entry_point in (dsl.tokenize, dsl.parse):
+        try:
+            entry_point(source)
+        except ParseError:
+            pass
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(source=_mutated_corpus())
+def test_parse_is_total_on_mutated_corpus(source):
+    try:
+        dsl.parse(source)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lexemes=st.lists(st.tuples(_LEXEMES, _SEPARATORS)))
+def test_token_spans_slice_back_to_their_text(lexemes):
+    source = "".join(text + separator for (_, text), separator in lexemes)
+    tokens = dsl.tokenize(source)
+    lines = source.split("\n")
+    assert [t.type for t in tokens] == [kind for (kind, _), _ in lexemes] + ["EOF"]
+    for token, ((_, text), _) in zip(tokens, lexemes):
+        assert token.end_line == token.line
+        assert lines[token.line - 1][token.col - 1:token.end_col] == text
+        if token.type == "STRING":
+            assert text == '"' + token.value.replace('"', '\\"') + '"'
+        elif token.type == "INT":
+            assert token.value == int(text)
+        else:
+            assert token.value == text
+    eof = tokens[-1]
+    assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)

@@ -189,6 +189,17 @@ def test_method_shape_errors():
         start_enactment(Method(name="m", cycle=("a", "b"), concurrent=("b",)))
 
 
+def test_repeated_cycle_entries_are_visited_in_order():
+    method = Method(name="m", cycle=("A", "B", "A", "C"))
+    visited = [p.removeprefix("practice.") for p in visitation(method, 8)]
+    assert visited == ["a", "b", "a", "c", "a", "b", "a", "c"]
+    state = start_enactment(method)
+    for _ in range(4):
+        state = next_phase(state)
+    assert (state.current, state.iteration) == ("practice.a", 1)
+    assert [p for _, p in state.trace] == [f"practice.{x}" for x in "abac"]
+
+
 def test_corpus_method_enacts(corpus):
     (method,) = corpus.methods()
     visited = visitation(method, 10)
