@@ -7,19 +7,22 @@ graph), and ``corpus`` (materialize the bundled corpus).
 
 Exit codes: 0 success, 1 error diagnostics (or any diagnostics under
 ``--strict``, or input nested too deeply to process), 2 usage error,
-3 unreadable or undecodable input, or unwritable output.
-Identical inputs and flags produce byte-identical standard output.
+3 unreadable or undecodable input, or unwritable output (including a
+standard output the reader closed early).
+Identical inputs and flags produce byte-identical standard output;
+diagnostics print in the order of :func:`esskit.diagnostics.ordered`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from enum import IntEnum
 from pathlib import Path
 
 from . import dsl, lint, progress, render, togaf, validator
-from .diagnostics import Diagnostic, ParseError, ResolveError
+from .diagnostics import Diagnostic, ParseError, ResolveError, ordered
 from .model import PHASE_IDS, ModelDocument, dotted_id, merge
 
 
@@ -101,17 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diagnostic_order(diagnostic: Diagnostic):
-    span = diagnostic.span
-    if span is None:
-        return ("~", 0, 0, diagnostic.rule, diagnostic.path)
-    return (span.file, span.start_line, span.start_col, diagnostic.rule,
-            diagnostic.path)
-
-
-def _print_diagnostics(diagnostics, *, sort: bool = True) -> None:
-    ordered = sorted(diagnostics, key=_diagnostic_order) if sort else diagnostics
-    for diagnostic in ordered:
+def _print_diagnostics(diagnostics) -> None:
+    for diagnostic in diagnostics:
         print(diagnostic.render_line())
 
 
@@ -150,7 +144,7 @@ def _load(args, *, resolve: bool = True):
         except ParseError as failure:
             diagnostics.extend(failure.diagnostics)
     if diagnostics:
-        raise ParseError(diagnostics)
+        raise ParseError(ordered(diagnostics))
     document = merge(*documents)
     return validator.resolve(document) if resolve else document
 
@@ -188,7 +182,7 @@ def _cmd_lint(args) -> int:
     except lint.UnknownRuleError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.USAGE)
-    _print_diagnostics(diagnostics, sort=False)
+    _print_diagnostics(diagnostics)
     print(f"{len(diagnostics)} lint warnings")
     return _exit_for(diagnostics, args.strict)
 
@@ -304,4 +298,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # final flush of what is still buffered fails silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = int(ExitStatus.IO)
+    sys.exit(code)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 
 class Severity(Enum):
@@ -75,6 +76,21 @@ class Diagnostic:
             record["line"] = self.span.start_line
             record["col"] = self.span.start_col
         return record
+
+
+def _order_key(diagnostic: Diagnostic):
+    span = diagnostic.span
+    where = (0, span.file, span.start_line, span.start_col) if span else (1, "", 0, 0)
+    return (*where, diagnostic.rule, diagnostic.path, diagnostic.message)
+
+
+def ordered(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
+    """``diagnostics`` in the one order every stage reports them in.
+
+    Diagnostics with a span come first, by file name, line and column; those
+    without follow. Ties break by rule, path and message.
+    """
+    return sorted(diagnostics, key=_order_key)
 
 
 class DiagnosticError(Exception):

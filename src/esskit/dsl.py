@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, ParseError, Severity, SourceSpan
+from .diagnostics import Diagnostic, ParseError, Severity, SourceSpan, ordered
 from .model import (
     ACTIVITY_TAGS,
     PHASE_IDS,
@@ -208,11 +208,31 @@ class _Parser:
     def _at_word(self, word: str) -> bool:
         return self.current.type == "IDENT" and self.current.value == word
 
-    def _take_word(self, word: str) -> bool:
-        if self._at_word(word):
+    def _optional(self, word: str, token_type: str = "STRING"):
+        """The value after ``word`` when the clause is present, else None."""
+        if not self._at_word(word):
+            return None
+        self._advance()
+        return self._expect(token_type).value
+
+    def _repeated(self, word: str, token_type: str = "STRING") -> list:
+        """The values of a run of ``word <token>`` clauses, possibly none."""
+        values = []
+        while self._at_word(word):
             self._advance()
-            return True
-        return False
+            values.append(self._expect(token_type).value)
+        return values
+
+    def _grades(self, word: str) -> list[CompetencyGrade]:
+        """A run of ``word IDENT @ INT`` clauses, possibly none."""
+        grades = []
+        while self._at_word(word):
+            self._advance()
+            competency = self._competency_ref()
+            self._expect("AT")
+            grades.append(CompetencyGrade(competency=competency,
+                                          level=self._expect("INT").value))
+        return grades
 
     def _span_from(self, start: Token) -> SourceSpan:
         return SourceSpan(self.file, start.line, start.col,
@@ -341,10 +361,7 @@ class _Parser:
         start = self._expect_word("state")
         name = self._named("state", "IDENT")
         self._expect("LBRACE")
-        checklist = []
-        while self._at_word("check"):
-            self._advance()
-            checklist.append(str(self._expect("STRING").value))
+        checklist = self._repeated("check")
         if not checklist:
             raise self._fail("state requires at least one checklist item",
                              hint="'check'")
@@ -357,10 +374,9 @@ class _Parser:
         name = self._named("competency", "IDENT")
         self._expect_word("area")
         area = self._area_ref()
-        max_level = 5
-        if self._take_word("levels"):
-            max_level = int(self._expect("INT").value)
-        return Competency(name=name, area=area, max_level=max_level,
+        levels = self._optional("levels", "INT")
+        return Competency(name=name, area=area,
+                          max_level=5 if levels is None else levels,
                           span=self._span_from(start))
 
     def _parse_space_decl(self) -> Space:
@@ -368,12 +384,8 @@ class _Parser:
         name = self._named("space")
         self._expect_word("area")
         area = self._area_ref()
-        parent = None
-        if self._take_word("in"):
-            parent = str(self._expect("STRING").value)
-        goal = None
-        if self._take_word("goal"):
-            goal = str(self._expect("STRING").value)
+        parent = self._optional("in")
+        goal = self._optional("goal")
         return Space(name=name, area=area, parent=parent, goal=goal,
                      span=self._span_from(start))
 
@@ -390,9 +402,7 @@ class _Parser:
                 valid = ", ".join(c.value for c in WorkProductCategory)
                 raise self._fail(f"unknown category {str(token.value)!r}",
                                  hint=f"one of {valid}", token=token) from None
-        description = None
-        if self._take_word("description"):
-            description = str(self._expect("STRING").value)
+        description = self._optional("description")
         return WorkProduct(name=name, category=category, description=description,
                            span=self._span_from(start))
 
@@ -400,13 +410,7 @@ class _Parser:
         start = self._expect_word("role")
         name = self._named("role")
         self._expect("LBRACE")
-        grades = []
-        while self._at_word("competency"):
-            self._advance()
-            competency = self._competency_ref()
-            self._expect("AT")
-            level = int(self._expect("INT").value)
-            grades.append(CompetencyGrade(competency=competency, level=level))
+        grades = self._grades("competency")
         if not grades:
             raise self._fail("role requires at least one competency",
                              hint="'competency'")
@@ -420,10 +424,7 @@ class _Parser:
         self._expect_word("area")
         area = self._area_ref()
         self._expect("LBRACE")
-        goals = []
-        while self._at_word("goal"):
-            self._advance()
-            goals.append(str(self._expect("STRING").value))
+        goals = self._repeated("goal")
         if not goals:
             # Recoverable: record the error but keep parsing the body so one
             # bad practice does not hide later findings.
@@ -431,10 +432,7 @@ class _Parser:
                 rule=SYNTAX_RULE, severity=Severity.ERROR, path="",
                 message="practice requires at least one goal",
                 span=self._span_from(start), hint="'goal'"))
-        inputs = []
-        while self._at_word("input"):
-            self._advance()
-            inputs.append(str(self._expect("STRING").value))
+        inputs = self._repeated("input")
         outputs = []
         while self._at_word("output"):
             outputs.append(self._parse_work_product("output", require_category=False))
@@ -449,9 +447,7 @@ class _Parser:
     def _parse_space_block(self) -> Space:
         start = self._expect_word("space")
         name = self._named("space")
-        goal = None
-        if self._take_word("goal"):
-            goal = str(self._expect("STRING").value)
+        goal = self._optional("goal")
         self._expect("LBRACE")
         members = []
         while True:
@@ -468,24 +464,10 @@ class _Parser:
     def _parse_activity(self) -> Activity:
         start = self._expect_word("activity")
         name = self._named("activity")
-        requires = []
-        while self._at_word("requires"):
-            self._advance()
-            competency = self._competency_ref()
-            self._expect("AT")
-            level = int(self._expect("INT").value)
-            requires.append(CompetencyGrade(competency=competency, level=level))
-        produces = []
-        while self._at_word("produces"):
-            self._advance()
-            produces.append(Contribution.from_text(str(self._expect("STRING").value)))
-        role = None
-        if self._take_word("role"):
-            role = str(self._expect("STRING").value)
-        tags = []
-        while self._at_word("tag"):
-            self._advance()
-            tags.append(str(self._expect("IDENT").value))
+        requires = self._grades("requires")
+        produces = [Contribution.from_text(text) for text in self._repeated("produces")]
+        role = self._optional("role")
+        tags = self._repeated("tag", "IDENT")
         return Activity(name=name, requires=tuple(requires), produces=tuple(produces),
                         role=role, tags=tuple(tags), span=self._span_from(start))
 
@@ -493,20 +475,12 @@ class _Parser:
         start = self._expect_word("method")
         name = self._named("method")
         self._expect("LBRACE")
-        preamble = None
-        if self._take_word("preamble"):
-            preamble = str(self._expect("STRING").value)
-        cycle = []
-        while self._at_word("cycle"):
-            self._advance()
-            cycle.append(str(self._expect("STRING").value))
+        preamble = self._optional("preamble")
+        cycle = self._repeated("cycle")
         if not cycle:
             raise self._fail("method requires at least one cycle practice",
                              hint="'cycle'")
-        concurrent = []
-        while self._at_word("concurrent"):
-            self._advance()
-            concurrent.append(str(self._expect("STRING").value))
+        concurrent = self._repeated("concurrent")
         self._expect("RBRACE")
         return Method(name=name, cycle=tuple(cycle), preamble=preamble,
                       concurrent=tuple(concurrent), span=self._span_from(start))
@@ -539,9 +513,7 @@ class _Parser:
     def _parse_step(self) -> StepSpec:
         start = self._expect_word("step")
         name = self._named("step")
-        goal = None
-        if self._take_word("goal"):
-            goal = str(self._expect("STRING").value)
+        goal = self._optional("goal")
         activities = []
         if self.current.type == "LBRACE":
             self._advance()
@@ -565,13 +537,8 @@ class _Parser:
                                  token=token)
             if tag not in tags:
                 tags.append(tag)
-        feeds = []
-        while self._at_word("feeds"):
-            self._advance()
-            feeds.append(Contribution.from_text(str(self._expect("STRING").value)))
-        role = None
-        if self._take_word("role"):
-            role = str(self._expect("STRING").value)
+        feeds = [Contribution.from_text(text) for text in self._repeated("feeds")]
+        role = self._optional("role")
         subs = []
         if self.current.type == "LBRACE":
             self._advance()
@@ -590,8 +557,9 @@ class _Parser:
 def parse(source: str, file: str = "<input>") -> ModelDocument:
     """Parse ``source`` into a :class:`ModelDocument`.
 
-    Raises :class:`ParseError` with every diagnostic found when the text has
-    syntax errors or declares the same id twice; warnings never block.
+    Raises :class:`ParseError` with every diagnostic found, in the order of
+    :func:`esskit.diagnostics.ordered`, when the text has syntax errors or
+    declares the same id twice; warnings never block.
     Blocks nested deeper than the interpreter's recursion limit allows are a
     syntax error at the token the parser had reached.
     """
@@ -602,7 +570,7 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
         document = ModelDocument(declarations)
     except RecursionError:
         too_deep = parser._fail("blocks nested too deeply to parse")
-        raise ParseError([*parser.diagnostics, too_deep.diagnostic]) from None
+        raise ParseError(ordered([*parser.diagnostics, too_deep.diagnostic])) from None
     diagnostics = list(parser.diagnostics)
     for ident, first, second in document.id_collisions():
         first_at = first.span.location() if first.span else "an earlier declaration"
@@ -611,7 +579,7 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
             message=f"duplicate id {ident!r}; first declared at {first_at}",
             span=second.span))
     if diagnostics:
-        raise ParseError(diagnostics)
+        raise ParseError(ordered(diagnostics))
     return document
 
 

@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagnostics import Diagnostic, Severity
-from .model import ModelDocument, Practice, Space, WorkProduct, dotted_id, element_id
+from .diagnostics import Diagnostic, Severity, ordered
+from .model import ModelDocument, Practice, Space, WorkProduct, element_id
 from .validator import ResolvedModel
 
 _WS = re.compile(r"\s+")
@@ -70,9 +70,10 @@ def run_lints(model: ResolvedModel,
               enabled: Iterable[str] | None = None) -> list[Diagnostic]:
     """Run the enabled lint rules over a resolved model.
 
-    Returns one diagnostic per (rule, offending element), ordered by element
-    declaration order then rule id. ``enabled`` defaults to the full catalog;
-    an empty set runs nothing; unknown ids raise :class:`UnknownRuleError`.
+    Returns one diagnostic per (rule, offending element), ordered by source
+    position (see :func:`esskit.diagnostics.ordered`). ``enabled`` defaults
+    to the full catalog; an empty set runs nothing; unknown ids raise
+    :class:`UnknownRuleError`.
     """
     if enabled is None:
         active = set(VALID_RULE_IDS)
@@ -98,7 +99,7 @@ def run_lints(model: ResolvedModel,
     if "L004" in active:
         _lint_opaque_spaces(document, report)
 
-    return sorted(found, key=lambda d: (document.order_of(d.path), d.rule))
+    return ordered(found)
 
 
 def _lint_unfed(document: ModelDocument, report) -> None:
@@ -108,8 +109,7 @@ def _lint_unfed(document: ModelDocument, report) -> None:
                     for a in practice.all_activities() for c in a.produces}
         for wp in practice.outputs:
             if wp.name not in produced:
-                report("L001",
-                       f"{practice_id}/{dotted_id('workproduct', wp.name)}",
+                report("L001", element_id(wp, practice_id),
                        f"output {wp.name!r} is not produced by any activity "
                        f"of practice {practice.name!r}", wp.span)
 
@@ -128,8 +128,7 @@ def _lint_multiply_defined(document: ModelDocument, report) -> None:
             continue
         places = ", ".join(repr(p.name) for p, _ in declared)
         for practice, wp in declared:
-            report("L002",
-                   f"{element_id(practice)}/{dotted_id('workproduct', name)}",
+            report("L002", element_id(wp, element_id(practice)),
                    f"work product {name!r} is defined with conflicting "
                    f"requirements across practices {places}", wp.span)
 

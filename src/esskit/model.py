@@ -277,21 +277,12 @@ class Practice:
     def spaces(self) -> tuple[Space, ...]:
         return tuple(m for m in self.members if isinstance(m, Space))
 
-    def stray_activities(self) -> tuple[Activity, ...]:
-        return tuple(m for m in self.members if isinstance(m, Activity))
-
     def all_activities(self) -> Iterator[Activity]:
         for member in self.members:
             if isinstance(member, Activity):
                 yield member
             else:
                 yield from member.subtree_activities()
-
-    def output(self, name: str) -> WorkProduct | None:
-        for wp in self.outputs:
-            if wp.name == name:
-                return wp
-        return None
 
 
 @dataclass(frozen=True)
@@ -324,11 +315,35 @@ class Method:
     concurrent: tuple[str, ...] = ()
     span: SourceSpan | None = _span_field()
 
+    def shape_errors(self) -> tuple[str, ...]:
+        """Why the method cannot be enacted, one message per fault; empty if
+        it can.
+
+        The preamble runs once and concurrent practices are always on, so
+        neither may sit in the cycle, and the preamble may not be concurrent.
+        """
+        errors = []
+        if not self.cycle:
+            errors.append(f"method {self.name!r} has an empty cycle")
+        cycle = set(self.cycle)
+        if self.preamble is not None and self.preamble in cycle:
+            errors.append(f"method {self.name!r} lists preamble "
+                          f"{self.preamble!r} inside the cycle")
+        overlap = cycle & set(self.concurrent)
+        if overlap:
+            errors.append(f"method {self.name!r} lists concurrent practice(s) "
+                          f"{', '.join(sorted(overlap))} inside the cycle")
+        if self.preamble is not None and self.preamble in self.concurrent:
+            errors.append(f"method {self.name!r} lists preamble "
+                          f"{self.preamble!r} as concurrent")
+        return tuple(errors)
+
 
 @dataclass(frozen=True)
 class ActivitySpec:
     """An action inside a TOGAF step: either tagged (atomic) or decomposed."""
 
+    kind: ClassVar[str] = "activity"
     name: str
     tags: tuple[str, ...] = ()
     feeds: tuple[Contribution, ...] = ()
@@ -339,6 +354,7 @@ class ActivitySpec:
 
 @dataclass(frozen=True)
 class StepSpec:
+    kind: ClassVar[str] = "step"
     name: str
     goal: str | None = None
     activities: tuple[ActivitySpec, ...] = ()
@@ -366,12 +382,6 @@ class TogafPhase:
     steps: tuple[StepSpec, ...] = ()
     outputs: tuple[WorkProduct, ...] = ()
     span: SourceSpan | None = _span_field()
-
-    def output(self, name: str) -> WorkProduct | None:
-        for wp in self.outputs:
-            if wp.name == name:
-                return wp
-        return None
 
 
 KernelMember = Union[AreaDecl, Alpha, Competency, Space, WorkProduct]
@@ -429,17 +439,38 @@ def walk_element(element, owner_id: str | None = None
             yield from walk_element(member, None)
     elif isinstance(element, Alpha):
         for state in element.states:
-            yield f"{own_id}/{dotted_id('state', state.name)}", state, own_id, depth + 1
+            yield element_id(state, own_id), state, own_id, depth + 1
     elif isinstance(element, (Space, Practice)):
         if isinstance(element, Practice):
             for wp in element.outputs:
-                yield (f"{own_id}/{dotted_id('workproduct', wp.name)}", wp, own_id,
-                       depth + 1)
+                yield element_id(wp, own_id), wp, own_id, depth + 1
         for member in element.members:
             yield from walk_element(member, own_id)
     elif isinstance(element, TogafPhase):
         for wp in element.outputs:
-            yield f"{own_id}/{dotted_id('workproduct', wp.name)}", wp, own_id, depth + 1
+            yield element_id(wp, own_id), wp, own_id, depth + 1
+
+
+def walk_specs(phase: TogafPhase
+               ) -> Iterator[tuple[str, StepSpec | ActivitySpec, tuple[str, ...], str]]:
+    """Yield (path, spec, chain, parent path) for a phase's steps and specs.
+
+    The order is pre-order. Paths extend the phase id
+    (``phase.a/step.define_scope/activity.engage``); the chain holds the
+    names from the step down to the spec. Specs are not elements: they stay
+    out of :meth:`ModelDocument.walk`, the id index and its collisions, so
+    sibling specs may share a name and so a path. The walk keeps its own
+    stack, so nesting depth costs no recursion.
+    """
+    phase_id = element_id(phase)
+    stack = [(step, (step.name,), phase_id) for step in reversed(phase.steps)]
+    while stack:
+        spec, chain, parent_id = stack.pop()
+        own_id = element_id(spec, parent_id)
+        yield own_id, spec, chain, parent_id
+        children = spec.activities if isinstance(spec, StepSpec) else spec.sub_activities
+        stack.extend((child, chain + (child.name,), own_id)
+                     for child in reversed(children))
 
 
 def element_id(element, owner_id: str | None = None) -> str:
@@ -462,16 +493,13 @@ class ModelDocument:
         self._walk = tuple(entry for declaration in self.declarations
                            for entry in walk_element(declaration))
         index: dict[str, Element] = {}
-        order: dict[str, int] = {}
         collisions: list[tuple[str, Element, Element]] = []
-        for seq, (ident, element, _, _) in enumerate(self._walk):
+        for ident, element, _, _ in self._walk:
             if ident in index:
                 collisions.append((ident, index[ident], element))
             else:
                 index[ident] = element
-                order[ident] = seq
         self._index = index
-        self._order = order
         self._collisions = tuple(collisions)
 
     def __eq__(self, other) -> bool:
@@ -499,9 +527,6 @@ class ModelDocument:
     def lookup(self, ident: str) -> Element | None:
         """The element with that id, or None; absence is a value, not an error."""
         return self._index.get(ident)
-
-    def order_of(self, ident: str) -> int:
-        return self._order.get(ident, len(self._order))
 
     def iter_elements(self, kind: str) -> tuple[Element, ...]:
         """All elements of one kind in declaration order."""

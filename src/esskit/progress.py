@@ -118,24 +118,15 @@ class EnactmentState:
         return tuple(self._positions(range(self.step)))
 
 
-def _validate_method(method: Method) -> None:
-    if not method.cycle:
-        raise EnactmentError(f"method {method.name!r} has an empty cycle")
-    cycle = set(method.cycle)
-    if method.preamble is not None and method.preamble in cycle:
-        raise EnactmentError(
-            f"method {method.name!r} lists preamble {method.preamble!r} "
-            "inside the cycle")
-    overlap = cycle & set(method.concurrent)
-    if overlap:
-        raise EnactmentError(
-            f"method {method.name!r} lists concurrent practice(s) "
-            f"{', '.join(sorted(overlap))} inside the cycle")
-
-
 def start_enactment(method: Method) -> EnactmentState:
-    """Initial state: at the preamble when there is one, else at the cycle head."""
-    _validate_method(method)
+    """Initial state: at the preamble when there is one, else at the cycle head.
+
+    Raises :class:`EnactmentError` with the first of
+    :meth:`Method.shape_errors`, the faults that ``check`` reports as V017.
+    """
+    errors = method.shape_errors()
+    if errors:
+        raise EnactmentError(errors[0])
     return EnactmentState(method=method)
 
 

@@ -31,6 +31,7 @@ from .model import (
     dotted_id,
     element_id,
     walk_element,
+    walk_specs,
 )
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -325,7 +326,7 @@ def _alpha_record(alpha: Alpha) -> dict:
         "id": own, "name": alpha.name, "kind": "alpha",
         "area": _area_id(alpha.area),
         "states": [{
-            "id": f"{own}/{dotted_id('state', s.name)}",
+            "id": element_id(s, own),
             "name": s.name, "kind": "state",
             "checklist": [{"key": f"{si}.{ci}", "text": text}
                           for ci, text in enumerate(s.checklist, 1)],
@@ -393,9 +394,21 @@ def _practice_record(practice: Practice) -> dict:
 
 def _phase_record(phase: TogafPhase) -> dict:
     own = element_id(phase)
-
-    def spec_record(spec: ActivitySpec) -> dict:
-        return {
+    records = {own: {
+        "id": own, "name": phase.name, "kind": "phase", "phase": phase.phase,
+        "objective": phase.objective,
+        "outputs": [_work_product_record(wp, element_id(wp, own))
+                    for wp in phase.outputs],
+        "steps": [],
+    }}
+    # Pre-order: a spec's parent is the latest record at the parent path,
+    # even when sibling specs share a name.
+    for path, spec, _, parent_path in walk_specs(phase):
+        if isinstance(spec, StepSpec):
+            records[path] = {"name": spec.name, "goal": spec.goal, "activities": []}
+            records[parent_path]["steps"].append(records[path])
+            continue
+        records[path] = {
             "name": spec.name,
             "tags": list(spec.tags),
             "feeds": [{
@@ -403,19 +416,10 @@ def _phase_record(phase: TogafPhase) -> dict:
                 "part": c.part,
             } for c in spec.feeds],
             "role": dotted_id("role", spec.role) if spec.role else None,
-            "activities": [spec_record(s) for s in spec.sub_activities],
+            "activities": [],
         }
-
-    return {
-        "id": own, "name": phase.name, "kind": "phase", "phase": phase.phase,
-        "objective": phase.objective,
-        "outputs": [_work_product_record(wp, element_id(wp, own))
-                    for wp in phase.outputs],
-        "steps": [{
-            "name": step.name, "goal": step.goal,
-            "activities": [spec_record(s) for s in step.activities],
-        } for step in phase.steps],
-    }
+        records[parent_path]["activities"].append(records[path])
+    return records[own]
 
 
 # DOT export -----------------------------------------------------------------

@@ -32,7 +32,9 @@ from .model import (
     Space,
     StepSpec,
     TogafPhase,
+    element_id,
     merge,
+    walk_specs,
 )
 from .validator import CheckConfig, ResolvedModel
 
@@ -65,7 +67,7 @@ TAG_COMPETENCIES = {
 
 DEFAULT_REQUIREMENT_LEVEL = 3
 
-_AREA_TIE_ORDER = (Area.CUSTOMER, Area.SOLUTION, Area.ENDEAVOR)
+_AREA_TIE_ORDER = (Area.ENDEAVOR, Area.CUSTOMER, Area.SOLUTION)
 
 CORPUS_FILES = ("kernel.ess", "roles.ess", "phases.ess", "practices.ess",
                 "method.ess")
@@ -81,7 +83,14 @@ def _chain(names: tuple[str, ...]) -> str:
 
 def map_phase(spec: TogafPhase, model: ResolvedModel,
               config: CheckConfig | None = None) -> Practice:
-    """Map one phase specification to a practice against a resolved kernel."""
+    """Map one phase specification to a practice against a resolved kernel.
+
+    Raises :class:`MappingError` for the first fault found, checking the
+    kernel's competencies and then, in passes over the specs in pre-order:
+    tags on a decomposed spec or a feed of an undeclared output; a feed that
+    needs a part; a decomposition nested too deeply, an undeclared role or
+    an unknown tag.
+    """
     config = config or CheckConfig()
 
     missing = [name for name in TAG_COMPETENCIES.values()
@@ -91,88 +100,69 @@ def map_phase(spec: TogafPhase, model: ResolvedModel,
             "kernel is missing required competencies: "
             + ", ".join(sorted(set(missing))))
 
+    walk = list(walk_specs(spec))
+    activity_specs = [(node, chain) for _, node, chain, _ in walk
+                      if isinstance(node, ActivitySpec)]
     declared_outputs = {wp.name for wp in spec.outputs}
     feeder_counts: dict[str, int] = {}
-    for step in spec.steps:
-        for activity in step.activities:
-            _scan_feeds(spec, activity, declared_outputs, feeder_counts,
-                        (step.name,))
-    for step in spec.steps:
-        for activity in step.activities:
-            _require_parts(spec, activity, feeder_counts, (step.name,))
+    for activity, chain in activity_specs:
+        if activity.tags and activity.sub_activities:
+            raise MappingError(
+                f"phase {spec.phase}: activity {_chain(chain)} is decomposed and "
+                "cannot also carry tags")
+        for contribution in activity.feeds:
+            if contribution.work_product not in declared_outputs:
+                raise MappingError(
+                    f"phase {spec.phase}: activity {_chain(chain)} feeds "
+                    f"undeclared output {contribution.work_product!r}")
+            feeder_counts[contribution.work_product] = feeder_counts.get(
+                contribution.work_product, 0) + 1
+    for activity, chain in activity_specs:
+        for contribution in activity.feeds:
+            if feeder_counts[contribution.work_product] >= 2 and not contribution.part:
+                raise MappingError(
+                    f"phase {spec.phase}: output {contribution.work_product!r} "
+                    f"has {feeder_counts[contribution.work_product]} feeders, so "
+                    f"the contribution from {_chain(chain)} must name its part")
 
+    # One entry per walk entry: the activity an atomic spec maps to, or None
+    # for a step or a decomposed spec, which become spaces. A decomposed spec
+    # nests its space at the depth of its chain (a step's space is depth 1).
     requirement_areas: dict[Area, int] = {area: 0 for area in Area}
-    members = tuple(
-        _map_step(spec, step, model, config, requirement_areas)
-        for step in spec.steps
-    )
-    area = _plurality_area(requirement_areas)
+    mapped: list[Activity | None] = []
+    for _, node, chain, _ in walk:
+        if isinstance(node, StepSpec) or node.sub_activities:
+            if isinstance(node, ActivitySpec) and len(chain) > config.max_nesting_depth:
+                raise MappingError(
+                    f"phase {spec.phase}: decomposing {_chain(chain)} would nest "
+                    f"spaces at depth {len(chain)}, beyond the maximum of "
+                    f"{config.max_nesting_depth}")
+            mapped.append(None)
+        else:
+            mapped.append(_map_activity(spec, node, chain, model, requirement_areas))
+
+    # Reversed pre-order meets every child before its parent. Sibling specs
+    # may share a path, but a node's children all come between it and the
+    # next node with its path, so collecting them by parent path is exact.
+    members: dict[str, list] = {}
+    for (path, node, _, parent), member in zip(reversed(walk), reversed(mapped)):
+        if member is None:
+            member = Space(name=node.name,
+                           goal=node.goal if isinstance(node, StepSpec) else None,
+                           members=tuple(reversed(members.pop(path, []))))
+        members.setdefault(parent, []).append(member)
     return Practice(
         name=PHASE_PRACTICE_NAMES[spec.phase],
-        area=area,
+        area=_plurality_area(requirement_areas),
         goals=(spec.objective,),
         outputs=spec.outputs,
-        members=members,
+        members=tuple(reversed(members.pop(element_id(spec), []))),
     )
 
 
-def _scan_feeds(spec: TogafPhase, activity: ActivitySpec, declared: set[str],
-                counts: dict[str, int], chain: tuple[str, ...]) -> None:
-    chain = chain + (activity.name,)
-    if activity.tags and activity.sub_activities:
-        raise MappingError(
-            f"phase {spec.phase}: activity {_chain(chain)} is decomposed and "
-            "cannot also carry tags")
-    for contribution in activity.feeds:
-        if contribution.work_product not in declared:
-            raise MappingError(
-                f"phase {spec.phase}: activity {_chain(chain)} feeds "
-                f"undeclared output {contribution.work_product!r}")
-        counts[contribution.work_product] = counts.get(
-            contribution.work_product, 0) + 1
-    for sub in activity.sub_activities:
-        _scan_feeds(spec, sub, declared, counts, chain)
-
-
-def _require_parts(spec: TogafPhase, activity: ActivitySpec,
-                   counts: dict[str, int], chain: tuple[str, ...]) -> None:
-    chain = chain + (activity.name,)
-    for contribution in activity.feeds:
-        if counts[contribution.work_product] >= 2 and not contribution.part:
-            raise MappingError(
-                f"phase {spec.phase}: output {contribution.work_product!r} "
-                f"has {counts[contribution.work_product]} feeders, so the "
-                f"contribution from {_chain(chain)} must name its part")
-    for sub in activity.sub_activities:
-        _require_parts(spec, sub, counts, chain)
-
-
-def _map_step(spec: TogafPhase, step: StepSpec, model: ResolvedModel,
-              config: CheckConfig, areas: dict[Area, int]) -> Space:
-    members = tuple(
-        _map_activity(spec, activity, model, config, areas, 1, (step.name,))
-        for activity in step.activities
-    )
-    return Space(name=step.name, goal=step.goal, members=members)
-
-
-def _map_activity(spec: TogafPhase, activity: ActivitySpec,
-                  model: ResolvedModel, config: CheckConfig,
-                  areas: dict[Area, int], depth: int,
-                  chain: tuple[str, ...]):
-    chain = chain + (activity.name,)
-    if activity.sub_activities:
-        if depth + 1 > config.max_nesting_depth:
-            raise MappingError(
-                f"phase {spec.phase}: decomposing {_chain(chain)} would nest "
-                f"spaces at depth {depth + 1}, beyond the maximum of "
-                f"{config.max_nesting_depth}")
-        members = tuple(
-            _map_activity(spec, sub, model, config, areas, depth + 1, chain)
-            for sub in activity.sub_activities
-        )
-        return Space(name=activity.name, members=members)
-
+def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ...],
+                  model: ResolvedModel, areas: dict[Area, int]) -> Activity:
+    """R3/R6: one atomic spec as an activity; counts its requirements' areas."""
     if activity.role is not None and activity.role not in model.roles:
         raise MappingError(
             f"phase {spec.phase}: activity {_chain(chain)} names undeclared "
@@ -210,13 +200,7 @@ def _map_activity(spec: TogafPhase, activity: ActivitySpec,
 
 def _plurality_area(counts: dict[Area, int]) -> Area:
     best = max(counts.values())
-    leaders = {area for area, n in counts.items() if n == best}
-    if Area.ENDEAVOR in leaders:
-        return Area.ENDEAVOR
-    for area in _AREA_TIE_ORDER:
-        if area in leaders:
-            return area
-    return Area.ENDEAVOR
+    return next(area for area in _AREA_TIE_ORDER if counts[area] == best)
 
 
 def map_all_phases(document: ModelDocument, model: ResolvedModel,

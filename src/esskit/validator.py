@@ -3,9 +3,9 @@
 ``resolve`` turns by-name references into element identities and fails with
 V001 (dangling reference) or V002 (duplicate name within a kind, scoped the
 same way ids are). ``check_wellformedness`` applies the structural rule
-catalog V010-V016 to a resolved model and returns every violation; it never
+catalog V010-V017 to a resolved model and returns every violation; it never
 raises. Both are pure, so two runs over the same model produce identical
-diagnostic lists.
+diagnostic lists, in the order of :func:`esskit.diagnostics.ordered`.
 
 Area references are not subject to V001: the three areas of concern form a
 closed enumeration the parser already enforces, so a dangling area is
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, ResolveError, Severity
+from .diagnostics import Diagnostic, ResolveError, Severity, ordered
 from .model import (
     Activity,
     ActivitySpec,
@@ -24,8 +24,8 @@ from .model import (
     ModelDocument,
     Practice,
     Space,
-    dotted_id,
     element_id,
+    walk_specs,
 )
 
 DANGLING_REFERENCE = "V001"
@@ -37,6 +37,7 @@ LEVEL_OUT_OF_RANGE = "V013"
 MISSING_PART_TEXT = "V014"
 AREA_MISMATCH = "V015"
 ACTIVITY_WITHOUT_SPACE = "V016"
+UNENACTABLE_METHOD = "V017"
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,6 @@ class ResolvedModel:
     def competency_area(self, name: str) -> Area:
         return self.competencies[name].area
 
-    def lookup(self, ident: str):
-        return self.document.lookup(ident)
-
 
 def resolve(document: ModelDocument) -> ResolvedModel:
     """Resolve every by-name reference, case-sensitively, document-wide.
@@ -132,7 +130,7 @@ def resolve(document: ModelDocument) -> ResolvedModel:
                     if text in seen:
                         diagnostics.append(Diagnostic(
                             rule=DUPLICATE_NAME, severity=Severity.ERROR,
-                            path=f"{alpha_id}/{dotted_id('state', state.name)}",
+                            path=element_id(state, alpha_id),
                             message=f"duplicate checklist item {text!r}",
                             span=state.span))
                     seen.add(text)
@@ -172,33 +170,19 @@ def resolve(document: ModelDocument) -> ResolvedModel:
                 dangling(method_id, method.span, "practice", name)
 
     for phase in document.phases():
-        phase_id = element_id(phase)
         declared = {wp.name for wp in phase.outputs}
-        for step in phase.steps:
-            step_path = f"{phase_id}/{dotted_id('step', step.name)}"
-            for spec in step.activities:
-                _check_spec_refs(spec, step_path, declared, model, dangling)
+        for path, spec, _, _ in walk_specs(phase):
+            if not isinstance(spec, ActivitySpec):
+                continue
+            for contribution in spec.feeds:
+                if contribution.work_product not in declared:
+                    dangling(path, spec.span, "output", contribution.work_product)
+            if spec.role is not None and spec.role not in model.roles:
+                dangling(path, spec.span, "role", spec.role)
 
     if any(d.is_error for d in diagnostics):
-        raise ResolveError(_ordered(document, diagnostics))
+        raise ResolveError(ordered(diagnostics))
     return model
-
-
-def _check_spec_refs(spec: ActivitySpec, owner: str, declared: set[str],
-                     model: ResolvedModel, dangling) -> None:
-    path = f"{owner}/{dotted_id('activity', spec.name)}"
-    for contribution in spec.feeds:
-        if contribution.work_product not in declared:
-            dangling(path, spec.span, "output", contribution.work_product)
-    if spec.role is not None and spec.role not in model.roles:
-        dangling(path, spec.span, "role", spec.role)
-    for sub in spec.sub_activities:
-        _check_spec_refs(sub, path, declared, model, dangling)
-
-
-def _ordered(document: ModelDocument, diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diagnostics,
-                  key=lambda d: (document.order_of(d.path), d.rule, d.message))
 
 
 def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfile:
@@ -215,7 +199,8 @@ def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfil
 
 def check_wellformedness(model: ResolvedModel,
                          config: CheckConfig | None = None) -> list[Diagnostic]:
-    """Every V010-V016 violation in the model, in declaration order."""
+    """Every V010-V017 violation in the model, ordered by source position
+    (see :func:`esskit.diagnostics.ordered`)."""
     config = config or CheckConfig()
     document = model.document
     diagnostics: list[Diagnostic] = []
@@ -255,6 +240,11 @@ def check_wellformedness(model: ResolvedModel,
                    f"declared area {practice.area.value} but element counts "
                    f"favor {leaders}", practice.span)
 
+    for method in document.methods():
+        for message in method.shape_errors():
+            report(UNENACTABLE_METHOD, Severity.ERROR, element_id(method), message,
+                   method.span)
+
     for ident, element, parent_id, depth in document.walk():
         # Kernel spaces have no parent here; they nest by name, checked above.
         if isinstance(element, Space) and parent_id is not None:
@@ -274,7 +264,7 @@ def check_wellformedness(model: ResolvedModel,
                            f"{grade.competency!r} is outside 1..5",
                            element.span)
 
-    return _ordered(document, diagnostics)
+    return ordered(diagnostics)
 
 
 def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
@@ -321,7 +311,7 @@ def _check_contribution_parts(practice: Practice, practice_id: str, report) -> N
         feeders = contributions.get(wp.name, [])
         if len(feeders) < 2:
             continue
-        wp_path = f"{practice_id}/{dotted_id('workproduct', wp.name)}"
+        wp_path = element_id(wp, practice_id)
         nameless = [a.name for a, part in feeders if not part]
         if nameless:
             report(MISSING_PART_TEXT, Severity.ERROR, wp_path,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -285,3 +286,66 @@ def test_corpus_stdout_bytes_are_pinned(cli, corpus_dir, monkeypatch, argv, dige
     code, out, err = cli(*argv, *names)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_diagnostic_order_does_not_depend_on_argv_order(cli, tmp_path):
+    first = tmp_path / "a.ess"
+    first.write_text(KERNEL_PRELUDE + 'role "Idle" { competency Analysis @ 3 }\n'
+                     'practice "P" area Customer { goal "g" output "Unfed"\n'
+                     '  space "S" { activity "x" requires Analysis @ 9 } }\n')
+    second = tmp_path / "b.ess"
+    second.write_text('practice "Q" area Customer { goal "g" output "Spare"\n'
+                      '  space "Empty" { } space "T" { activity "y" requires Testing @ 0 } }\n')
+    for command in ("check", "lint"):
+        forward = cli(command, str(first), str(second))
+        assert cli(command, str(second), str(first)) == forward
+        assert forward[0] == (1 if command == "check" else 0)
+    lines = cli("lint", str(second), str(first))[1].splitlines()[:-1]
+    assert [line.split()[0] for line in lines] == ["L003", "L001", "L001", "L004"]
+
+
+@pytest.mark.parametrize("method,message", [
+    ('preamble "A" cycle "A"', "lists preamble 'A' inside the cycle"),
+    ('cycle "A" cycle "B" concurrent "B"', "lists concurrent practice(s) B inside"),
+    ('preamble "B" cycle "A" concurrent "B"', "lists preamble 'B' as concurrent"),
+], ids=["preamble-in-cycle", "concurrent-in-cycle", "preamble-concurrent"])
+def test_check_and_enact_agree_on_unenactable_methods(cli, tmp_path, method, message):
+    source = tmp_path / "m.ess"
+    source.write_text('practice "A" area Customer { goal "g" }\n'
+                      'practice "B" area Customer { goal "g" }\n'
+                      f'method "m" {{ {method} }}\n')
+    code, out, _ = cli("check", str(source))
+    assert code == 1 and f"V017 error method.m: method 'm' {message}" in out
+    code, out, err = cli("enact", "--method", "m", "--steps", "3", str(source))
+    assert (code, out) == (1, "") and message in err
+
+
+def test_map_accepts_specs_nested_as_deep_as_check(cli, tmp_path):
+    depth = 700
+    deep = tmp_path / "deep.ess"
+    deep.write_text(KERNEL_PRELUDE + 'togaf_phase A "V" { objective "o" step "S" { '
+                    + 'activity "X" { ' * depth + 'activity "L" tag builds '
+                    + "} " * depth + "} }")
+    assert cli("check", "--max-depth", "5000", str(deep))[0] == 0
+    code, out, err = cli("map", "--max-depth", "5000", str(deep))
+    assert (code, err) == (0, "")
+    assert out.count('space "X"') == depth
+
+
+def test_closed_stdout_exits_3_without_traceback(corpus_dir):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esskit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(esskit.__file__).parent.parent)}
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from esskit.cli import main; main()", "enact",
+         "--method", "adm", "--steps", "200000", *_corpus_args(corpus_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"P\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 3
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esskit import dsl, render, togaf
+from esskit import dsl, render, togaf, validator
 from esskit.diagnostics import ParseError
 from esskit.model import Area, ModelDocument, Role, WorkProductCategory
 
@@ -174,6 +174,14 @@ def test_deep_nesting_is_a_parse_error():
     assert diagnostics[-1].rule == dsl.SYNTAX_RULE
     assert diagnostics[-1].message == "blocks nested too deeply to parse"
     assert diagnostics[-1].span.file == "bad.ess"
+
+
+def test_levels_zero_is_kept_and_out_of_range():
+    document = dsl.parse('kernel "K" { competency Analysis area Solution levels 0 '
+                         'competency Testing area Solution }')
+    assert [c.max_level for c in document.kernels()[0].competencies()] == [0, 5]
+    _, diagnostics = validator.check(document)
+    assert [(d.rule, d.path) for d in diagnostics] == [("V013", "competency.analysis")]
 
 
 def test_underscore_only_names_are_parse_errors():

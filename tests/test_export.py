@@ -71,3 +71,19 @@ def test_export_dot_escapes_quotes():
         'practice "The \\"Practice\\"" area Customer { goal "g" }')
     dot = render.export_dot(document)
     assert '[label="The \\"Practice\\""' in dot
+
+
+def test_phase_records_keep_same_named_siblings_apart():
+    document = parse_with_kernel(
+        'togaf_phase A "Vision" { objective "o"\n'
+        '  step "S" { activity "D" { activity "x" tag builds } }\n'
+        '  step "S" { activity "D" tag leads } }')
+    phase = json.loads(render.export_json(document))["phases"][0]
+
+    def names(records):
+        return [(r["name"], names(r["activities"])) for r in records]
+
+    assert [(step["name"], names(step["activities"])) for step in phase["steps"]] == [
+        ("S", [("D", [("x", [])])]),
+        ("S", [("D", [])]),
+    ]

@@ -2,7 +2,9 @@
 
 Every name a module in ``src/esskit`` imports must be referenced somewhere
 in that module; the package ``__init__`` re-exports its imports and is
-exempt.
+exempt. Every module-private name the package defines (a top-level
+``_function``, ``_Class`` or ``_CONSTANT``, or a class's ``_method``) must be
+referenced somewhere in the package outside its own definition.
 """
 
 from __future__ import annotations
@@ -39,3 +41,59 @@ def test_module_uses_every_import(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads\nloads('1')\n"
     assert _unused_imports(source) == ["line 2: dumps", "line 1: os"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining node) for each top-level and class-level private name."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and private(target.id):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and private(member.name):
+                    yield member.name, member
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private definitions no code outside the definition itself refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    references: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in references.get(name, ())):
+                unused.append(f"{module}:{definition.lineno}: {name}")
+    return unused
+
+
+def test_package_uses_every_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _unused_private_names(sources) == []
+
+
+def test_scan_flags_an_unused_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SPARE = 4\n"
+                 "def _used(n):\n    return _LIMIT + n\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Box:\n    def _peek(self):\n        return self._peek()\n"
+                 "    def _get(self):\n        return 1\n"),
+        "b.py": "from a import _used, _Box\n_used(_Box()._get())\n",
+    }
+    assert _unused_private_names(sources) == [
+        "a.py:2: _SPARE", "a.py:5: _recursive", "a.py:8: _peek"]

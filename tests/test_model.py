@@ -4,6 +4,7 @@ import pytest
 
 from esskit.model import (
     Activity,
+    ActivitySpec,
     Alpha,
     AlphaState,
     Area,
@@ -12,6 +13,8 @@ from esskit.model import (
     ModelDocument,
     Practice,
     Space,
+    StepSpec,
+    TogafPhase,
     WorkProduct,
     WorkProductCategory,
     dotted_id,
@@ -20,6 +23,7 @@ from esskit.model import (
     lookup,
     merge,
     slug,
+    walk_specs,
 )
 
 
@@ -175,3 +179,27 @@ def test_walk_carries_ids_parents_and_depths():
     for ident in first:
         assert lookup(document, ident) is first[ident]
     assert lookup(document, "space.explore").area is Area.CUSTOMER
+
+
+def test_walk_specs_carries_paths_chains_and_parents():
+    leaf = ActivitySpec(name="Leaf", tags=("builds",))
+    phase = TogafPhase(phase="A", name="Vision", objective="o", steps=(
+        StepSpec(name="Scope", activities=(
+            ActivitySpec(name="Engage", sub_activities=(leaf,)),
+            ActivitySpec(name="Engage", tags=("leads",)))),
+        StepSpec(name="Scope"),
+    ))
+    step = "phase.a/step.scope"
+    assert [(path, chain, parent) for path, _, chain, parent in walk_specs(phase)] == [
+        (step, ("Scope",), "phase.a"),
+        (f"{step}/activity.engage", ("Scope", "Engage"), step),
+        (f"{step}/activity.engage/activity.leaf", ("Scope", "Engage", "Leaf"),
+         f"{step}/activity.engage"),
+        (f"{step}/activity.engage", ("Scope", "Engage"), step),
+        (step, ("Scope",), "phase.a"),
+    ]
+    assert [spec for _, spec, _, _ in walk_specs(phase)][2] is leaf
+    # Specs are not elements: the document walk, index and collisions skip them.
+    document = ModelDocument([phase])
+    assert [ident for ident, _, _, _ in document.walk()] == ["phase.a"]
+    assert document.lookup(step) is None and document.id_collisions() == ()

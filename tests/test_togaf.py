@@ -186,6 +186,32 @@ def test_mapping_errors(fixture_model):
     assert relaxed.spaces()[0].child_spaces()[0].name == "d1"
 
 
+def test_sibling_specs_may_share_a_name(fixture_model):
+    def leaf(name, tag):
+        return ActivitySpec(name=name, tags=(tag,))
+
+    spec = _phase(steps=[
+        StepSpec(name="S", goal="first", activities=(
+            ActivitySpec(name="D", sub_activities=(leaf("x", "builds"),)),
+            ActivitySpec(name="D", sub_activities=(leaf("y", "verifies"),)),
+            leaf("D", "leads"))),
+        StepSpec(name="S", activities=(leaf("z", "coordinates"),)),
+    ])
+    practice = map_phase(spec, fixture_model)
+
+    def shape(member):
+        if isinstance(member, Space):
+            return (member.name, member.goal, [shape(m) for m in member.members])
+        return (member.name, [g.competency for g in member.requires])
+
+    assert [shape(m) for m in practice.members] == [
+        ("S", "first", [("D", None, [("x", ["Development"])]),
+                        ("D", None, [("y", ["Testing"])]),
+                        ("D", ["Leadership"])]),
+        ("S", None, [("z", ["Management"])]),
+    ]
+
+
 def test_missing_kernel_competencies_rejected():
     bare = validator.resolve(dsl.parse(
         'kernel "K" { area Customer color green '

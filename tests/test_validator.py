@@ -9,6 +9,7 @@ from esskit.model import (
     Area,
     CompetencyGrade,
     Contribution,
+    Method,
     ModelDocument,
     Practice,
     Space,
@@ -188,6 +189,29 @@ def test_stray_activity_is_v016():
     diagnostics = validator.check_wellformedness(model)
     assert _rules(diagnostics) == ["V016"]
     assert diagnostics[0].path == "practice.p/activity.loose"
+
+
+@pytest.mark.parametrize("method,message", [
+    (Method(name="m", cycle=()), "method 'm' has an empty cycle"),
+    (Method(name="m", cycle=("A",), preamble="A"),
+     "method 'm' lists preamble 'A' inside the cycle"),
+    (Method(name="m", cycle=("A", "B"), concurrent=("B",)),
+     "method 'm' lists concurrent practice(s) B inside the cycle"),
+    (Method(name="m", cycle=("A",), preamble="P", concurrent=("P",)),
+     "method 'm' lists preamble 'P' as concurrent"),
+], ids=["empty-cycle", "preamble-in-cycle", "concurrent-in-cycle",
+        "preamble-concurrent"])
+def test_unenactable_method_is_v017(method, message):
+    from esskit.progress import EnactmentError, start_enactment
+
+    practices = [Practice(name=name, area=Area.CUSTOMER, goals=("g",))
+                 for name in ("A", "B", "P")]
+    model = validator.resolve(ModelDocument([*practices, method]))
+    assert [(d.rule, d.path, d.message) for d in
+            validator.check_wellformedness(model)] == [("V017", "method.m", message)]
+    with pytest.raises(EnactmentError) as failure:
+        start_enactment(method)
+    assert str(failure.value) == message
 
 
 def test_area_profile_single_area_example(kernel_model):
