@@ -6,138 +6,51 @@ practices deterministically; assess alpha progress from checklists; and
 enact cyclic methods with always-on concurrent practices.
 """
 
-from .diagnostics import Diagnostic, ParseError, ResolveError, Severity, SourceSpan
-from .dsl import parse, parse_file
-from .lint import LINT_RULES, LintRule, UnknownRuleError, run_lints
-from .model import (
-    ACTIVITY_TAGS,
-    KERNEL_COMPETENCIES,
-    PHASE_IDS,
-    Activity,
-    ActivitySpec,
-    Alpha,
-    AlphaState,
-    Area,
-    AreaDecl,
-    ChecklistItem,
-    Competency,
-    CompetencyGrade,
-    Contribution,
-    Kernel,
-    Method,
-    ModelDocument,
-    Practice,
-    Role,
-    Space,
-    StepSpec,
-    TogafPhase,
-    WorkProduct,
-    WorkProductCategory,
-    dotted_id,
-    element_id,
-    iter_elements,
-    lookup,
-    merge,
-    slug,
-)
-from .progress import (
-    Assessment,
-    AssessmentError,
-    EnactmentError,
-    EnactmentState,
-    active_practices,
-    assess_alpha,
-    next_phase,
-    practice_progress,
-    start_enactment,
-    visitation,
-)
-from .render import export_dot, export_json, render_canonical
-from .togaf import (
-    PHASE_PRACTICE_NAMES,
-    TAG_COMPETENCIES,
-    MappingError,
-    load_corpus,
-    load_manifest,
-    map_phase,
-)
-from .validator import (
-    AreaProfile,
-    CheckConfig,
-    ResolvedModel,
-    check,
-    check_wellformedness,
-    compute_area_profile,
-    resolve,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVITY_TAGS",
-    "Activity",
-    "ActivitySpec",
-    "Alpha",
-    "AlphaState",
-    "Area",
-    "AreaDecl",
-    "AreaProfile",
-    "Assessment",
-    "AssessmentError",
-    "CheckConfig",
-    "ChecklistItem",
-    "Competency",
-    "CompetencyGrade",
-    "Contribution",
-    "Diagnostic",
-    "EnactmentError",
-    "EnactmentState",
-    "KERNEL_COMPETENCIES",
-    "Kernel",
-    "LINT_RULES",
-    "LintRule",
-    "MappingError",
-    "Method",
-    "ModelDocument",
-    "PHASE_IDS",
-    "PHASE_PRACTICE_NAMES",
-    "ParseError",
-    "Practice",
-    "ResolveError",
-    "ResolvedModel",
-    "Role",
-    "Severity",
-    "SourceSpan",
-    "Space",
-    "StepSpec",
-    "TAG_COMPETENCIES",
-    "TogafPhase",
-    "UnknownRuleError",
-    "WorkProduct",
-    "WorkProductCategory",
-    "active_practices",
-    "assess_alpha",
-    "check",
-    "check_wellformedness",
-    "compute_area_profile",
-    "dotted_id",
-    "element_id",
-    "export_dot",
-    "export_json",
-    "iter_elements",
-    "load_corpus",
-    "load_manifest",
-    "lookup",
-    "map_phase",
-    "merge",
-    "next_phase",
-    "parse",
-    "parse_file",
-    "practice_progress",
-    "render_canonical",
-    "resolve",
-    "run_lints",
-    "slug",
-    "start_enactment",
-    "visitation",
-]
+# Public name -> the module defining it. Modules load on first use, so a
+# command imports only what it runs.
+_EXPORTS = {
+    "diagnostics": ("Diagnostic", "ParseError", "ResolveError", "Severity", "SourceSpan"),
+    "dsl": ("parse", "parse_file"),
+    "lint": ("LINT_RULES", "LintRule", "UnknownRuleError", "run_lints"),
+    "model": (
+        "ACTIVITY_TAGS", "KERNEL_COMPETENCIES", "PHASE_IDS", "Activity", "ActivitySpec",
+        "Alpha", "AlphaState", "Area", "AreaDecl", "ChecklistItem", "Competency",
+        "CompetencyGrade", "Contribution", "Kernel", "Method", "ModelDocument",
+        "Practice", "Role", "Space", "StepSpec", "TogafPhase", "WorkProduct",
+        "WorkProductCategory", "dotted_id", "element_id", "iter_elements", "lookup",
+        "merge", "slug",
+    ),
+    "progress": (
+        "Assessment", "AssessmentError", "EnactmentError", "EnactmentState",
+        "active_practices", "assess_alpha", "next_phase", "practice_progress",
+        "start_enactment", "visitation",
+    ),
+    "render": ("export_dot", "export_json", "render_canonical"),
+    "togaf": (
+        "PHASE_PRACTICE_NAMES", "TAG_COMPETENCIES", "MappingError", "load_corpus",
+        "load_manifest", "map_phase",
+    ),
+    "validator": (
+        "AreaProfile", "CheckConfig", "ResolvedModel", "check", "check_wellformedness",
+        "compute_area_profile", "resolve",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,7 +21,9 @@ import sys
 from enum import IntEnum
 from pathlib import Path
 
-from . import dsl, lint, progress, render, togaf, validator
+# Each command imports the other stages it runs, so a cold ``check`` loads
+# neither the linter, the mapper, the renderers nor the enactment engine.
+from . import dsl, validator
 from .diagnostics import Diagnostic, ParseError, ResolveError, ordered
 from .model import PHASE_IDS, ModelDocument, dotted_id, merge
 
@@ -165,6 +167,8 @@ def _cmd_check(args) -> int:
 
 
 def _selected_rules(args) -> set[str]:
+    from . import lint
+
     def split(values):
         out = []
         for chunk in values or ():
@@ -176,6 +180,8 @@ def _selected_rules(args) -> set[str]:
 
 
 def _cmd_lint(args) -> int:
+    from . import lint
+
     model = _load(args)
     try:
         diagnostics = lint.run_lints(model, _selected_rules(args))
@@ -188,6 +194,8 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from . import render, togaf
+
     model = _load(args)
     phases = model.document.phases()
     if args.phase is not None:
@@ -208,6 +216,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_enact(args) -> int:
+    from . import progress, togaf
+
     document = _load(args).document
     method = None
     for candidate in document.methods():
@@ -243,6 +253,8 @@ def _cmd_enact(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import lint, render
+
     if args.format == "dot":
         sys.stdout.write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
@@ -254,6 +266,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import togaf
+
     dest = Path(args.dest)
     try:
         dest.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,74 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+
+class Record:
+    """Base of esskit's value types: fields come from the class annotations.
+
+    A subclass lists its fields as annotations, in order (read as strings,
+    so its module must use ``from __future__ import annotations``); a class
+    attribute gives a field its default, and ``ClassVar`` annotations are
+    not fields. Each subclass gets an ``__init__`` taking the fields (it
+    then calls ``__post_init__`` when the class defines one), ``__eq__`` and
+    ``__hash__`` over the field tuple, and a ``__repr__`` listing it. Fields
+    named in ``hidden`` are stored but left out of all three. Assigning or
+    deleting an attribute raises :class:`AttributeError`, unless the class
+    is declared with ``frozen=False``, which also makes it unhashable.
+    """
+
+    _shown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+        super().__init_subclass__()
+        names = [name for name, annotation in cls.__dict__.get("__annotations__", {}).items()
+                 if not annotation.startswith("ClassVar")]
+        cls._shown = tuple(name for name in names if name not in hidden)
+        # One exec per class, with the attribute tuples written out: a loop
+        # over the names at call time would make deep comparisons of model
+        # trees several times slower.
+        scope = {"_set": object.__setattr__}
+        params = ["self"]
+        lines = []
+        for name in names:
+            if name in cls.__dict__:
+                scope[f"_default_{name}"] = cls.__dict__[name]
+                params.append(f"{name}=_default_{name}")
+            else:
+                params.append(name)
+            lines.append(f"    _set(self, {name!r}, {name})")
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        mine = "".join(f"self.{name}," for name in cls._shown)
+        theirs = "".join(f"other.{name}," for name in cls._shown)
+        exec("\n".join([
+            f"def __init__({', '.join(params)}):", *lines,
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]), scope)
+        for method in ("__init__", "__eq__", "__hash__"):
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, scope[method])
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Severity(Enum):
@@ -12,8 +77,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based extent of a construct in a source file; end is inclusive."""
 
     file: str
@@ -30,8 +94,7 @@ class SourceSpan:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A single finding: a rule id, where it applies, and what went wrong.
 
     ``path`` is the dotted/slashed element path (empty for file-level

@@ -39,9 +39,8 @@ validator. Syntax errors and same-file duplicate ids raise
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, ParseError, Severity, SourceSpan, ordered
+from .diagnostics import Diagnostic, ParseError, Record, Severity, SourceSpan, ordered
 from .model import (
     ACTIVITY_TAGS,
     PHASE_IDS,
@@ -88,8 +87,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     type: str  # IDENT | STRING | INT | LBRACE | RBRACE | AT | EOF
     value: str | int
     line: int

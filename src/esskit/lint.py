@@ -15,18 +15,16 @@ description; absent descriptions compare equal to empty ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
-from .diagnostics import Diagnostic, Severity, ordered
-from .model import ModelDocument, Practice, Space, WorkProduct, element_id
+from .diagnostics import Diagnostic, Record, Severity, ordered
+from .model import Activity, ModelDocument, Practice, Space, WorkProduct, element_id
 from .validator import ResolvedModel
 
 _WS = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(Record):
     id: str
     name: str
     severity: Severity
@@ -146,9 +144,16 @@ def _lint_unassigned_roles(document: ModelDocument, report) -> None:
 
 
 def _lint_opaque_spaces(document: ModelDocument, report) -> None:
-    for ident, space, _, _ in document.walk():
-        if (isinstance(space, Space) and not space.goal
-                and next(space.subtree_activities(), None) is None):
+    # Reversed pre-order meets every child before its parent, so one pass
+    # tells each space whether an activity lies below it. Sibling spaces may
+    # share an id, but a node's children all come between it and the next
+    # node with its id, so collecting by parent id is exact.
+    holds_activity: set[str | None] = set()
+    for ident, element, parent_id, _ in reversed(document.walk()):
+        if isinstance(element, Activity) or ident in holds_activity:
+            holds_activity.discard(ident)
+            holds_activity.add(parent_id)
+        elif isinstance(element, Space) and not element.goal:
             report("L004", ident,
-                   f"space {space.name!r} has no goal and no activities",
-                   space.span)
+                   f"space {element.name!r} has no goal and no activities",
+                   element.span)

@@ -1,9 +1,9 @@
 """Essence element types, the document container, and the dotted-id scheme.
 
-Every declarable element is a frozen dataclass; a document is an ordered
-tuple of top-level declarations. Source spans ride along for diagnostics
-but never participate in equality, so two parses of the same text compare
-equal regardless of origin.
+Every declarable element is a frozen :class:`~esskit.diagnostics.Record`;
+a document is an ordered tuple of top-level declarations. Source spans ride
+along for diagnostics but never participate in equality, hashing or
+``repr``, so two parses of the same text compare equal regardless of origin.
 
 Element identity is a lowercase dotted id derived from kind and slugged
 name (``competency.governance``). Elements owned by a practice are
@@ -15,11 +15,10 @@ path in diagnostics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Iterator, Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import Record, SourceSpan
 
 
 class Area(Enum):
@@ -100,48 +99,40 @@ def dotted_id(kind: str, name: str) -> str:
     return f"{kind}.{slug(name)}"
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class AreaDecl:
+class AreaDecl(Record, hidden=("span",)):
     """A kernel's declaration that an area of concern is in play."""
 
     kind: ClassVar[str] = "area"
     area: Area
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     @property
     def name(self) -> str:
         return self.area.value
 
 
-@dataclass(frozen=True)
-class ChecklistItem:
+class ChecklistItem(Record):
     """One checklist entry; ``key`` is '<state-index>.<item-index>', 1-based."""
 
     text: str
     key: str
 
 
-@dataclass(frozen=True)
-class AlphaState:
+class AlphaState(Record, hidden=("span",)):
     kind: ClassVar[str] = "state"
     name: str
     checklist: tuple[str, ...]
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class Alpha:
+class Alpha(Record, hidden=("span",)):
     """An essential thing to work with, progressing through ordered states."""
 
     kind: ClassVar[str] = "alpha"
     name: str
     area: Area
     states: tuple[AlphaState, ...]
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def items(self) -> Iterator[tuple[AlphaState, ChecklistItem]]:
         """All checklist items with their positional keys, in ladder order."""
@@ -153,29 +144,26 @@ class Alpha:
         return tuple(item.key for _, item in self.items())
 
 
-@dataclass(frozen=True)
-class Competency:
+class Competency(Record, hidden=("span",)):
     kind: ClassVar[str] = "competency"
     name: str
     area: Area
     max_level: int = 5
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     @property
     def kernel_builtin(self) -> bool:
         return self.name in KERNEL_COMPETENCIES
 
 
-@dataclass(frozen=True)
-class CompetencyGrade:
+class CompetencyGrade(Record):
     """A (competency, level) pair: required by an activity or held by a role."""
 
     competency: str
     level: int
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(Record):
     """An activity's contribution to a work product, optionally naming the part."""
 
     work_product: str
@@ -195,19 +183,17 @@ class Contribution:
         return cls(work_product=text)
 
 
-@dataclass(frozen=True)
-class WorkProduct:
+class WorkProduct(Record, hidden=("span",)):
     """A tangible output; doubles as a phase spec's output declaration."""
 
     kind: ClassVar[str] = "workproduct"
     name: str
     category: WorkProductCategory = WorkProductCategory.OTHER
     description: str | None = None
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(Record, hidden=("span",)):
     """An atomic unit of work inside an activity space.
 
     ``requires``/``role`` reference competencies and roles by name;
@@ -221,11 +207,10 @@ class Activity:
     produces: tuple[Contribution, ...] = ()
     role: str | None = None
     tags: tuple[str, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record, hidden=("span",)):
     """An activity space.
 
     Declared at kernel level it carries an explicit area and an optional
@@ -240,7 +225,7 @@ class Space:
     parent: str | None = None
     goal: str | None = None
     members: tuple[Union["Space", Activity], ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def child_spaces(self) -> tuple["Space", ...]:
         return tuple(m for m in self.members if isinstance(m, Space))
@@ -249,15 +234,11 @@ class Space:
         return tuple(m for m in self.members if isinstance(m, Activity))
 
     def subtree_activities(self) -> Iterator[Activity]:
-        for member in self.members:
-            if isinstance(member, Activity):
-                yield member
-            else:
-                yield from member.subtree_activities()
+        """Every activity below the space, in source order."""
+        return _activities_under(self.members)
 
 
-@dataclass(frozen=True)
-class Practice:
+class Practice(Record, hidden=("span",)):
     """A goal-bearing, repeatable way of doing work.
 
     ``members`` normally holds only spaces; a bare Activity at practice
@@ -272,25 +253,32 @@ class Practice:
     inputs: tuple[str, ...] = ()
     outputs: tuple[WorkProduct, ...] = ()
     members: tuple[Space | Activity, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def spaces(self) -> tuple[Space, ...]:
         return tuple(m for m in self.members if isinstance(m, Space))
 
     def all_activities(self) -> Iterator[Activity]:
-        for member in self.members:
-            if isinstance(member, Activity):
-                yield member
-            else:
-                yield from member.subtree_activities()
+        """Every activity of the practice, in source order."""
+        return _activities_under(self.members)
 
 
-@dataclass(frozen=True)
-class Role:
+def _activities_under(members) -> Iterator[Activity]:
+    # Pre-order from an explicit stack, so nesting depth costs no recursion.
+    stack = list(reversed(members))
+    while stack:
+        member = stack.pop()
+        if isinstance(member, Activity):
+            yield member
+        else:
+            stack.extend(reversed(member.members))
+
+
+class Role(Record, hidden=("span",)):
     kind: ClassVar[str] = "role"
     name: str
     competencies: tuple[CompetencyGrade, ...]
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def level_for(self, competency: str) -> int | None:
         for grade in self.competencies:
@@ -299,8 +287,7 @@ class Role:
         return None
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Record, hidden=("span",)):
     """A set of practices plus the shape of their enactment.
 
     ``preamble`` runs once before the first cycle; ``cycle`` repeats in
@@ -313,7 +300,7 @@ class Method:
     cycle: tuple[str, ...]
     preamble: str | None = None
     concurrent: tuple[str, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def shape_errors(self) -> tuple[str, ...]:
         """Why the method cannot be enacted, one message per fault; empty if
@@ -339,8 +326,7 @@ class Method:
         return tuple(errors)
 
 
-@dataclass(frozen=True)
-class ActivitySpec:
+class ActivitySpec(Record, hidden=("span",)):
     """An action inside a TOGAF step: either tagged (atomic) or decomposed."""
 
     kind: ClassVar[str] = "activity"
@@ -349,16 +335,15 @@ class ActivitySpec:
     feeds: tuple[Contribution, ...] = ()
     role: str | None = None
     sub_activities: tuple["ActivitySpec", ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class StepSpec:
+class StepSpec(Record, hidden=("span",)):
     kind: ClassVar[str] = "step"
     name: str
     goal: str | None = None
     activities: tuple[ActivitySpec, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def spec_count(self) -> int:
         """Total activity specifications in the step, parents included."""
@@ -371,8 +356,7 @@ class StepSpec:
         return count
 
 
-@dataclass(frozen=True)
-class TogafPhase:
+class TogafPhase(Record, hidden=("span",)):
     """Structured input for one ADM phase: objective, steps, and outputs."""
 
     kind: ClassVar[str] = "phase"
@@ -381,20 +365,19 @@ class TogafPhase:
     objective: str
     steps: tuple[StepSpec, ...] = ()
     outputs: tuple[WorkProduct, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
 
 KernelMember = Union[AreaDecl, Alpha, Competency, Space, WorkProduct]
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record, hidden=("span",)):
     """A named grouping of kernel-level declarations."""
 
     kind: ClassVar[str] = "kernel"
     name: str
     members: tuple[KernelMember, ...] = ()
-    span: SourceSpan | None = _span_field()
+    span: SourceSpan | None = None
 
     def areas(self) -> tuple[AreaDecl, ...]:
         return tuple(m for m in self.members if isinstance(m, AreaDecl))
@@ -484,7 +467,7 @@ class ModelDocument:
     """Parsed declarations in source order with a document-wide id index.
 
     Immutable once built; equality compares the declaration tuples (spans
-    excluded by the element dataclasses), so structural round-trip checks
+    excluded by the element records), so structural round-trip checks
     are plain ``==``.
     """
 

@@ -14,9 +14,9 @@ and only ever grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .diagnostics import Record
 from .model import Activity, Alpha, Method, Practice, dotted_id, element_id, walk_element
 
 
@@ -48,8 +48,7 @@ def assess_alpha(alpha: Alpha, answers: Mapping[str, bool]) -> str | None:
     return achieved
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(Record):
     """One alpha's recorded answers and the state they add up to."""
 
     alpha: str
@@ -71,8 +70,7 @@ class Assessment:
         }
 
 
-@dataclass(frozen=True)
-class EnactmentState:
+class EnactmentState(Record):
     """Where an enactment stands: the method and how many practices completed.
 
     Position 0 is the preamble when there is one, else the first cycle

@@ -9,7 +9,6 @@ idempotent.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .model import (
@@ -256,6 +255,8 @@ def export_json(document: ModelDocument, *, diagnostics=(), assessments=()) -> s
     :class:`esskit.diagnostics.ResolveError` listing the offending ids.
     Diagnostics and assessments passed in are serialized under their own keys.
     """
+    import json
+
     from .validator import resolve
 
     resolve(document)

@@ -17,7 +17,6 @@ areas; ties break toward Endeavor, then by kernel area order.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from . import dsl
@@ -32,6 +31,7 @@ from .model import (
     Space,
     StepSpec,
     TogafPhase,
+    dotted_id,
     element_id,
     merge,
     walk_specs,
@@ -231,13 +231,13 @@ def load_corpus() -> ModelDocument:
 
 
 def load_manifest() -> dict:
+    import json
+
     return json.loads(corpus_files()["manifest.json"])
 
 
 def phase_labels(document: ModelDocument) -> dict[str, str]:
     """Practice id to phase id, for documents that carry phase specifications."""
-    from .model import dotted_id
-
     labels = {}
     for phase in document.phases():
         practice = PHASE_PRACTICE_NAMES.get(phase.phase)

@@ -14,9 +14,7 @@ unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .diagnostics import Diagnostic, ResolveError, Severity, ordered
+from .diagnostics import Diagnostic, Record, ResolveError, Severity, ordered
 from .model import (
     Activity,
     ActivitySpec,
@@ -40,15 +38,13 @@ ACTIVITY_WITHOUT_SPACE = "V016"
 UNENACTABLE_METHOD = "V017"
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record):
     """Knobs for well-formedness; depth counts the root space as 1."""
 
     max_nesting_depth: int = 3
 
 
-@dataclass
-class AreaProfile:
+class AreaProfile(Record, frozen=False):
     """Per-area element counts for one practice, and the winning area(s).
 
     Counts are the practice's top-level spaces (by effective area) plus one
@@ -57,9 +53,11 @@ class AreaProfile:
     the modeler's declared-area choice auditable without overriding it.
     """
 
-    counts: dict[Area, int] = field(default_factory=dict)
+    counts: dict[Area, int] | None = None
 
     def __post_init__(self) -> None:
+        if self.counts is None:
+            self.counts = {}
         for area in Area:
             self.counts.setdefault(area, 0)
 
@@ -220,10 +218,11 @@ def check_wellformedness(model: ResolvedModel,
 
     for role in document.roles():
         for grade in role.competencies:
-            if not 1 <= grade.level <= 5:
+            bound = _level_bound(model, grade.competency)
+            if not 1 <= grade.level <= bound:
                 report(LEVEL_OUT_OF_RANGE, Severity.ERROR, element_id(role),
                        f"level {grade.level} for competency "
-                       f"{grade.competency!r} is outside 1..5", role.span)
+                       f"{grade.competency!r} is outside 1..{bound}", role.span)
 
     for practice in document.practices():
         practice_id = element_id(practice)
@@ -258,13 +257,21 @@ def check_wellformedness(model: ResolvedModel,
                        f"activity {element.name!r} is attached to no activity "
                        "space", element.span)
             for grade in element.requires:
-                if not 1 <= grade.level <= 5:
+                bound = _level_bound(model, grade.competency)
+                if not 1 <= grade.level <= bound:
                     report(LEVEL_OUT_OF_RANGE, Severity.ERROR, ident,
                            f"required level {grade.level} for "
-                           f"{grade.competency!r} is outside 1..5",
+                           f"{grade.competency!r} is outside 1..{bound}",
                            element.span)
 
     return ordered(diagnostics)
+
+
+def _level_bound(model: ResolvedModel, competency: str) -> int:
+    """The highest level a grade of ``competency`` may name: the competency's
+    declared ``levels``, never more than 5."""
+    declared = model.competencies.get(competency)
+    return 5 if declared is None else min(declared.max_level, 5)
 
 
 def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,

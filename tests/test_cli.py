@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esskit.cli import run
 
@@ -349,3 +353,73 @@ def test_closed_stdout_exits_3_without_traceback(corpus_dir):
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 3
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+_CORPUS_NAMES = ("kernel.ess", "roles.ess", "phases.ess", "practices.ess", "method.ess")
+# Each subcommand's own options with good and bad values; every command also
+# takes the common ones, and now and then a stray word.
+_OPTIONS = {
+    "check": (),
+    "lint": (("--enable", "L001"), ("--enable", "L002,L9"), ("--disable", "L003,L004")),
+    "map": (("--phase", "A"), ("--phase", "RM"), ("--phase", "Q")),
+    "enact": (("--method", "adm"), ("--method", "Phase A"), ("--steps", "7"),
+              ("--steps", "-1"), ("--trace",)),
+    "export": (("--format", "dot"), ("--format", "tree"), ("--format", "xml")),
+    "corpus": (),
+}
+_COMMON = (("--strict",), ("--max-depth", "1"), ("--max-depth", "5"), ("--max-depth", "0"))
+_STRAY = (("--help",), ("--",), ("-x",), ("",), ("--phase", "A"), ("--max-depth", "x"),
+          ("missing.ess",), (".",))
+
+
+@st.composite
+def _input_bytes(draw):
+    """Arbitrary bytes, or a corpus file cut short with bytes appended."""
+    from esskit import togaf
+
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    text = togaf.corpus_files()[draw(st.sampled_from(_CORPUS_NAMES))].encode()
+    return text[:draw(st.integers(0, len(text)))] + draw(st.binary(max_size=20))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    if command == "corpus":
+        words = draw(st.lists(st.sampled_from(("out", "new/deeper", "input.ess", ".")),
+                              max_size=1))
+    else:
+        words = draw(st.lists(st.sampled_from((*_CORPUS_NAMES, "input.ess")),
+                              min_size=1, max_size=6))
+    units = draw(st.lists(st.sampled_from(_OPTIONS[command] + _COMMON), max_size=4))
+    if command == "enact" and draw(st.integers(0, 3)):
+        units += [("--method", "adm"), ("--steps", "7")]
+    if draw(st.integers(0, 9)) == 0:
+        units.append(draw(st.sampled_from(_STRAY)))
+    return [command, *words, *(word for unit in units for word in unit)]
+
+
+@pytest.fixture(scope="module")
+def total_dir(corpus_dir, tmp_path_factory):
+    """A copy of the corpus directory that test_cli_is_total may write into."""
+    dest = tmp_path_factory.mktemp("total")
+    for path in corpus_dir.iterdir():
+        (dest / path.name).write_bytes(path.read_bytes())
+    return dest
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=_input_bytes(), argv=_argv())
+def test_cli_is_total(total_dir, data, argv):
+    (total_dir / "input.ess").write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(total_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        os.chdir(home)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

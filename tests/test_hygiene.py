@@ -4,15 +4,21 @@ Every name a module in ``src/esskit`` imports must be referenced somewhere
 in that module; the package ``__init__`` re-exports its imports and is
 exempt. Every module-private name the package defines (a top-level
 ``_function``, ``_Class`` or ``_CONSTANT``, or a class's ``_method``) must be
-referenced somewhere in the package outside its own definition.
+referenced somewhere in the package outside its own definition. The CLI
+module loads only what every command needs.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import esskit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "esskit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -97,3 +103,32 @@ def test_scan_flags_an_unused_private_name():
     }
     assert _unused_private_names(sources) == [
         "a.py:2: _SPARE", "a.py:5: _recursive", "a.py:8: _peek"]
+
+
+def test_cli_import_loads_no_command_specific_module():
+    code = ("import sys; before = set(sys.modules); import esskit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True)
+    loaded = set(done.stdout.split())
+    assert {"esskit.cli", "esskit.dsl", "esskit.validator"} <= loaded
+    assert not loaded & {"dataclasses", "json", "esskit.render", "esskit.togaf",
+                         "esskit.lint", "esskit.progress"}
+
+
+def test_every_public_name_resolves():
+    for name in esskit.__all__:
+        assert getattr(esskit, name) is not None
+    assert set(esskit.__all__) <= set(dir(esskit))
+    with pytest.raises(AttributeError):
+        esskit.no_such_name
+
+
+def test_no_module_imports_dataclasses():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name

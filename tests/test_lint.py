@@ -6,7 +6,7 @@ import pytest
 
 from esskit import lint, validator
 from esskit.lint import LINT_RULES, UnknownRuleError, run_lints
-from esskit.model import ModelDocument
+from esskit.model import Activity, Area, ModelDocument, Practice, Space
 
 from conftest import parse_with_kernel
 
@@ -111,6 +111,28 @@ def test_goalless_kernel_space_is_opaque():
     diagnostics = _lint('kernel "K2" { space "Bare" area Customer }',
                         enabled={"L004"})
     assert [d.rule for d in diagnostics] == ["L004"]
+
+
+def test_l004_on_a_deep_chain_is_exact():
+    depth = 400
+    blocks = []
+    for level in range(1, depth + 1):
+        goal = ' goal "known"' if level == 300 else ""
+        activity = 'activity "a" tag builds ' if level == 200 else ""
+        blocks.append(f'space "S{level}"{goal} {{ {activity}')
+    diagnostics = _lint('practice "P" area Customer { goal "g" ' + "".join(blocks)
+                        + "} " * depth + "}", enabled={"L004"})
+    opaque = sorted(int(d.path.rsplit("/space.s", 1)[1]) for d in diagnostics)
+    assert opaque == [level for level in range(201, depth + 1) if level != 300]
+
+
+@pytest.mark.parametrize("busy_first", [False, True])
+def test_l004_tells_sibling_spaces_with_one_id_apart(busy_first):
+    twins = (Space(name="Twin"), Space(name="Twin", members=(Activity(name="a"),)))
+    practice = Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                        members=twins[::-1] if busy_first else twins)
+    model = validator.ResolvedModel(ModelDocument([practice]))
+    assert [d.path for d in run_lints(model, {"L004"})] == ["practice.p/space.twin"]
 
 
 def test_empty_enabled_set_runs_nothing(corpus_model):

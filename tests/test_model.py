@@ -2,16 +2,25 @@ from __future__ import annotations
 
 import pytest
 
+from esskit.diagnostics import Diagnostic, Severity, SourceSpan
+from esskit.dsl import Token
+from esskit.lint import LintRule
 from esskit.model import (
     Activity,
     ActivitySpec,
     Alpha,
     AlphaState,
     Area,
+    AreaDecl,
+    ChecklistItem,
+    Competency,
+    CompetencyGrade,
     Contribution,
     Kernel,
+    Method,
     ModelDocument,
     Practice,
+    Role,
     Space,
     StepSpec,
     TogafPhase,
@@ -25,6 +34,8 @@ from esskit.model import (
     slug,
     walk_specs,
 )
+from esskit.progress import Assessment, EnactmentState
+from esskit.validator import AreaProfile, CheckConfig
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -203,3 +214,141 @@ def test_walk_specs_carries_paths_chains_and_parents():
     document = ModelDocument([phase])
     assert [ident for ident, _, _, _ in document.walk()] == ["phase.a"]
     assert document.lookup(step) is None and document.id_collisions() == ()
+
+
+def _records(span: SourceSpan) -> dict:
+    """One instance of each record type, by type name; the model elements
+    and the diagnostic carry ``span``."""
+    grade = CompetencyGrade(competency="Analysis", level=3)
+    feed = Contribution(work_product="W", part="p")
+    state = AlphaState(name="Initiated", checklist=("c",), span=span)
+    method = Method(name="M", cycle=("A", "B"), preamble="P", span=span)
+    spec = ActivitySpec(name="x", tags=("builds",), span=span)
+    return {type(record).__name__: record for record in (
+        span,
+        Diagnostic(rule="V001", severity=Severity.ERROR, path="role.r", message="m",
+                   span=span, hint="h"),
+        Token("IDENT", "x", 1, 2, 1, 2),
+        LintRule("L009", "spare", Severity.WARNING, "d"),
+        AreaDecl(area=Area.CUSTOMER, span=span),
+        ChecklistItem(text="c", key="1.1"),
+        state,
+        Alpha(name="Work", area=Area.ENDEAVOR, states=(state,), span=span),
+        Competency(name="Analysis", area=Area.SOLUTION, max_level=4, span=span),
+        grade,
+        feed,
+        WorkProduct(name="W", category=WorkProductCategory.CATALOG, span=span),
+        Activity(name="a", requires=(grade,), produces=(feed,), role="R", span=span),
+        Space(name="S", goal="g", members=(Activity(name="b", span=span),), span=span),
+        Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                 members=(Space(name="T", span=span),), span=span),
+        Role(name="R", competencies=(grade,), span=span),
+        method,
+        spec,
+        StepSpec(name="s", activities=(spec,), span=span),
+        TogafPhase(phase="A", name="V", objective="o", span=span),
+        Kernel(name="K", members=(AreaDecl(area=Area.SOLUTION, span=span),), span=span),
+        Assessment(alpha="alpha.work", answers=(("1.1", True),), achieved="Initiated"),
+        EnactmentState(method=method, step=3),
+        CheckConfig(max_nesting_depth=4),
+        AreaProfile(counts={Area.SOLUTION: 2}),
+    )}
+
+
+_SPAN = SourceSpan("a.ess", 1, 1, 2, 3)
+_MOVED = SourceSpan("b.ess", 7, 4, 7, 9)
+
+# repr of each record in _records(_SPAN), as the dataclass-based types
+# printed them.
+_PINNED_REPRS = {
+    "SourceSpan": "SourceSpan(file='a.ess', start_line=1, start_col=1, end_line=2, end_col=3)",
+    "Diagnostic": ("Diagnostic(rule='V001', severity=<Severity.ERROR: 'error'>, "
+                   "path='role.r', message='m', span=SourceSpan(file='a.ess', "
+                   "start_line=1, start_col=1, end_line=2, end_col=3), hint='h')"),
+    "Token": "Token(type='IDENT', value='x', line=1, col=2, end_line=1, end_col=2)",
+    "LintRule": ("LintRule(id='L009', name='spare', severity=<Severity.WARNING: "
+                 "'warning'>, description='d')"),
+    "AreaDecl": "AreaDecl(area=<Area.CUSTOMER: 'Customer'>)",
+    "ChecklistItem": "ChecklistItem(text='c', key='1.1')",
+    "AlphaState": "AlphaState(name='Initiated', checklist=('c',))",
+    "Alpha": ("Alpha(name='Work', area=<Area.ENDEAVOR: 'Endeavor'>, "
+              "states=(AlphaState(name='Initiated', checklist=('c',)),))"),
+    "Competency": "Competency(name='Analysis', area=<Area.SOLUTION: 'Solution'>, max_level=4)",
+    "CompetencyGrade": "CompetencyGrade(competency='Analysis', level=3)",
+    "Contribution": "Contribution(work_product='W', part='p')",
+    "WorkProduct": ("WorkProduct(name='W', category=<WorkProductCategory.CATALOG: "
+                    "'catalog'>, description=None)"),
+    "Activity": ("Activity(name='a', requires=(CompetencyGrade(competency='Analysis', "
+                 "level=3),), produces=(Contribution(work_product='W', part='p'),), "
+                 "role='R', tags=())"),
+    "Space": ("Space(name='S', area=None, parent=None, goal='g', members=(Activity("
+              "name='b', requires=(), produces=(), role=None, tags=()),))"),
+    "Practice": ("Practice(name='P', area=<Area.CUSTOMER: 'Customer'>, goals=('g',), "
+                 "inputs=(), outputs=(), members=(Space(name='T', area=None, "
+                 "parent=None, goal=None, members=()),))"),
+    "Role": "Role(name='R', competencies=(CompetencyGrade(competency='Analysis', level=3),))",
+    "Method": "Method(name='M', cycle=('A', 'B'), preamble='P', concurrent=())",
+    "ActivitySpec": ("ActivitySpec(name='x', tags=('builds',), feeds=(), role=None, "
+                     "sub_activities=())"),
+    "StepSpec": ("StepSpec(name='s', goal=None, activities=(ActivitySpec(name='x', "
+                 "tags=('builds',), feeds=(), role=None, sub_activities=()),))"),
+    "TogafPhase": "TogafPhase(phase='A', name='V', objective='o', steps=(), outputs=())",
+    "Kernel": "Kernel(name='K', members=(AreaDecl(area=<Area.SOLUTION: 'Solution'>),))",
+    "Assessment": ("Assessment(alpha='alpha.work', answers=(('1.1', True),), "
+                   "achieved='Initiated')"),
+    "EnactmentState": ("EnactmentState(method=Method(name='M', cycle=('A', 'B'), "
+                       "preamble='P', concurrent=()), step=3)"),
+    "CheckConfig": "CheckConfig(max_nesting_depth=4)",
+    "AreaProfile": ("AreaProfile(counts={<Area.SOLUTION: 'Solution'>: 2, "
+                    "<Area.CUSTOMER: 'Customer'>: 0, <Area.ENDEAVOR: 'Endeavor'>: 0})"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_REPRS))
+def test_record_contract(kind):
+    record, copy, moved = (_records(span)[kind] for span in (_SPAN, _SPAN, _MOVED))
+    assert repr(record) == _PINNED_REPRS[kind]
+    assert record == copy and not record != copy
+    if kind in ("SourceSpan", "Diagnostic"):
+        assert record != moved
+    else:
+        assert record == moved  # model elements ignore their spans
+    if kind == "AreaProfile":
+        return  # mutable; see test_area_profile_is_mutable_and_unhashable
+    assert hash(record) == hash(copy)
+    if record == moved:
+        assert hash(record) == hash(moved)
+    field = next(iter(vars(record)))
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == _PINNED_REPRS[kind]
+
+
+def test_area_profile_is_mutable_and_unhashable():
+    first, second = AreaProfile(), AreaProfile()
+    first.counts[Area.CUSTOMER] += 1
+    assert second.counts == {area: 0 for area in Area}
+    assert first != second
+    first.counts = dict(second.counts)
+    assert first == second
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_source_span_rejects_an_end_before_its_start():
+    with pytest.raises(ValueError, match="span ends before it starts"):
+        SourceSpan("a.ess", 2, 5, 2, 4)
+
+
+def test_activity_iterators_keep_source_order_without_recursion():
+    depth = 3000
+    inner = Space(name="S0", members=(Activity(name="deepest"),))
+    for level in range(1, depth):
+        inner = Space(name=f"S{level}", members=(Activity(name=f"a{level}"), inner))
+    practice = Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                        members=(inner, Space(name="last", members=(Activity(name="z"),))))
+    expected = [f"a{level}" for level in range(depth - 1, 0, -1)] + ["deepest"]
+    assert [a.name for a in inner.subtree_activities()] == expected
+    assert [a.name for a in practice.all_activities()] == expected + ["z"]

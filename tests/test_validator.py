@@ -125,6 +125,20 @@ def test_level_out_of_range_is_v013():
     assert _rules(diagnostics).count("V013") == 2
 
 
+def test_grades_above_the_declared_levels_are_v013():
+    source = ('kernel "K2" { competency Modeling area Solution levels 2 }\n'
+              'role "R" { competency Modeling @ 4 }\n'
+              'practice "P" area Solution { goal "g" space "S" {\n'
+              '  activity "a" requires Modeling @ 3 role "R"\n'
+              '  activity "b" requires Modeling @ 2 } }')
+    _, diagnostics = _check(source)
+    assert [(d.path, d.message) for d in diagnostics if d.rule == "V013"] == [
+        ("role.r", "level 4 for competency 'Modeling' is outside 1..2"),
+        ("practice.p/space.s/activity.a",
+         "required level 3 for 'Modeling' is outside 1..2"),
+    ]
+
+
 def test_multi_feeder_missing_part_is_v014():
     source = ('practice "P" area Customer { goal "g"\n'
               '  output "Statement of Architecture Work"\n'
