@@ -259,8 +259,8 @@ def _cmd_export(args) -> int:
         sys.stdout.write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
     model = _load(args)
-    diagnostics = validator.check_wellformedness(model, _config(args))
-    diagnostics += lint.run_lints(model)
+    diagnostics = ordered([*validator.check_wellformedness(model, _config(args)),
+                           *lint.run_lints(model)])
     sys.stdout.write(render.export_json(model.document, diagnostics=diagnostics))
     return _exit_for(diagnostics, args.strict)
 

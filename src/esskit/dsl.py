@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the ``.ess`` declaration language.
+"""Lexer and table-driven parser for the ``.ess`` declaration language.
 
 Surface grammar (``#`` comments run to end of line; strings are
 double-quoted with ``\\"`` as the only escape; the language is
@@ -26,6 +26,11 @@ newline-insensitive):
     spec_activity := "activity" STRING ("tag" IDENT)* ("feeds" STRING)* ("role" STRING)?
                    ("{" spec_activity* "}")?
 
+:data:`GRAMMAR` is this grammar as data: the parser below reads it and
+:func:`esskit.render.render_canonical` writes it, so a clause exists in one
+place and rendered text parses back to the same document. A phase's
+``output`` needs its category.
+
 IDENT tokens encode display-name spaces as underscores
 (``Stakeholder_Representation`` names "Stakeholder Representation").
 A ``produces`` or ``feeds`` string containing ``": "`` splits at the first
@@ -39,6 +44,7 @@ validator. Syntax errors and same-file duplicate ids raise
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .diagnostics import Diagnostic, ParseError, Record, Severity, SourceSpan, ordered
 from .model import (
@@ -69,22 +75,24 @@ from .model import (
 SYNTAX_RULE = "P001"
 DUPLICATE_RULE = "P002"
 
-_TOP_KEYWORDS = ("kernel", "practice", "method", "role", "togaf_phase")
-
 # One alternative per token kind, tried at each position. ``open`` matches
 # what ``STRING`` cannot: a string cut short by a line break, the end of the
 # input or a backslash not followed by a quote. The classes are spelled out
-# because ``\s``, ``\d`` and ``\w`` also match non-ASCII characters.
-_TOKEN = re.compile(r"""
-      (?P<skip>   [ \t\r\n]+ | \#[^\n]* )
-    | (?P<STRING> " (?: [^"\\\n] | \\" )* " )
-    | (?P<open>   " (?: [^"\\\n] | \\" )* )
-    | (?P<INT>    [0-9]+ )
-    | (?P<IDENT>  [A-Za-z_] [A-Za-z0-9_]* )
-    | (?P<LBRACE> \{ )
-    | (?P<RBRACE> \} )
-    | (?P<AT>     @ )
-""", re.VERBOSE)
+# because ``\s``, ``\d`` and ``\w`` also match non-ASCII characters. Strings
+# are written as runs between escaped quotes, which the regex engine matches
+# far faster than one alternation per character.
+_TOKEN_PATTERNS = {
+    "skip": r"[ \t\r\n]+ | \#[^\n]*",
+    "STRING": r'" [^"\\\n]* (?: \\" [^"\\\n]* )* "',
+    "open": r'" [^"\\\n]* (?: \\" [^"\\\n]* )*',
+    "INT": r"[0-9]+",
+    "IDENT": r"[A-Za-z_] [A-Za-z0-9_]*",
+    "LBRACE": r"\{",
+    "RBRACE": r"\}",
+    "AT": r"@",
+}
+_TOKEN = re.compile("|".join(f"(?P<{kind}> {pattern})"
+                             for kind, pattern in _TOKEN_PATTERNS.items()), re.VERBOSE)
 
 
 class Token(Record):
@@ -161,6 +169,112 @@ def _decode(ident: str) -> str:
     return ident.replace("_", " ")
 
 
+# The grammar ------------------------------------------------------------------
+
+
+class _Clause(Record):
+    """One clause of a block: ``word`` then a value, or a child block.
+
+    ``word`` is None for a value written right after the block's keyword.
+    ``kind`` names a value kind (a key of the parser's readers and of the
+    renderer's writers) or a child block (a key of :data:`GRAMMAR`).
+    ``repeat`` is ``one``, ``opt``, ``many`` or ``some`` (one or more).
+    """
+
+    word: str | None
+    field: str
+    kind: str
+    repeat: str = "one"
+
+
+class _Block(Record):
+    """One block: its keyword, the element it builds, and its clauses.
+
+    ``head`` clauses precede the braces, in order. ``body`` is a sequence of
+    runs inside them: the clauses of one run interleave, and runs follow
+    each other in order. ``braces`` is ``yes``, ``no`` or ``opt``; optional
+    braces are written only around a body that is not empty.
+    """
+
+    word: str
+    cls: type
+    head: tuple[_Clause, ...]
+    body: tuple[tuple[_Clause, ...], ...] = ()
+    braces: str = "no"
+
+
+_NAME = _Clause(None, "name", "name")
+_DESCRIPTION = _Clause("description", "description", "string", "opt")
+
+GRAMMAR: dict[str, _Block] = {
+    "kernel": _Block("kernel", Kernel, (_NAME,), ((
+        _Clause("area", "members", "area_decl", "many"),
+        _Clause("alpha", "members", "alpha", "many"),
+        _Clause("competency", "members", "competency", "many"),
+        _Clause("space", "members", "kernel_space", "many"),
+        _Clause("workproduct", "members", "workproduct", "many")),), "yes"),
+    "area_decl": _Block("area", AreaDecl, (
+        _Clause(None, "area", "area"), _Clause("color", "area", "color"))),
+    "alpha": _Block("alpha", Alpha, (
+        _Clause(None, "name", "ident"), _Clause("area", "area", "area")),
+        ((_Clause("state", "states", "state", "some"),),), "yes"),
+    "state": _Block("state", AlphaState, (_Clause(None, "name", "ident"),),
+                    ((_Clause("check", "checklist", "string", "some"),),), "yes"),
+    "competency": _Block("competency", Competency, (
+        _Clause(None, "name", "ident"), _Clause("area", "area", "area"),
+        _Clause("levels", "max_level", "int", "opt"))),
+    "kernel_space": _Block("space", Space, (
+        _NAME, _Clause("area", "area", "area"), _Clause("in", "parent", "string", "opt"),
+        _Clause("goal", "goal", "string", "opt"))),
+    "workproduct": _Block("workproduct", WorkProduct, (
+        _NAME, _Clause("category", "category", "category"), _DESCRIPTION)),
+    "role": _Block("role", Role, (_NAME,),
+                   ((_Clause("competency", "competencies", "grade", "some"),),), "yes"),
+    "practice": _Block("practice", Practice, (_NAME, _Clause("area", "area", "area")), (
+        (_Clause("goal", "goals", "string", "some"),),
+        (_Clause("input", "inputs", "string", "many"),),
+        (_Clause("output", "outputs", "practice_output", "many"),),
+        (_Clause("space", "members", "space", "many"),)), "yes"),
+    "practice_output": _Block("output", WorkProduct, (
+        _NAME, _Clause("category", "category", "category", "opt"), _DESCRIPTION)),
+    "space": _Block("space", Space, (_NAME, _Clause("goal", "goal", "string", "opt")), ((
+        _Clause("space", "members", "space", "many"),
+        _Clause("activity", "members", "activity", "many")),), "yes"),
+    "activity": _Block("activity", Activity, (
+        _NAME, _Clause("requires", "requires", "grade", "many"),
+        _Clause("produces", "produces", "contribution", "many"),
+        _Clause("role", "role", "string", "opt"), _Clause("tag", "tags", "word", "many"))),
+    "method": _Block("method", Method, (_NAME,), (
+        (_Clause("preamble", "preamble", "string", "opt"),),
+        (_Clause("cycle", "cycle", "string", "some"),),
+        (_Clause("concurrent", "concurrent", "string", "many"),)), "yes"),
+    "togaf_phase": _Block("togaf_phase", TogafPhase, (
+        _Clause(None, "phase", "phase"), _NAME), (
+        (_Clause("objective", "objective", "string"),),
+        (_Clause("output", "outputs", "phase_output", "many"),
+         _Clause("step", "steps", "step", "many"))), "yes"),
+    "phase_output": _Block("output", WorkProduct, (
+        _NAME, _Clause("category", "category", "category"), _DESCRIPTION)),
+    "step": _Block("step", StepSpec, (_NAME, _Clause("goal", "goal", "string", "opt")),
+                   ((_Clause("activity", "activities", "spec_activity", "many"),),), "opt"),
+    "spec_activity": _Block("activity", ActivitySpec, (
+        _NAME, _Clause("tag", "tags", "tag", "many"),
+        _Clause("feeds", "feeds", "contribution", "many"),
+        _Clause("role", "role", "string", "opt")),
+        ((_Clause("activity", "sub_activities", "spec_activity", "many"),),), "opt"),
+}
+
+# A document is one run of top-level blocks, in this order in hints.
+_DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
+                  for word in ("kernel", "practice", "method", "role", "togaf_phase"))
+
+# What the "requires at least one ..." error calls a ``some`` clause.
+_AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
+
+
+# The parser -------------------------------------------------------------------
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], file: str) -> None:
         self.tokens = tokens
@@ -198,45 +312,14 @@ class _Parser:
                              hint=hint or names.get(token_type, token_type))
         return self._advance()
 
-    def _expect_word(self, word: str) -> Token:
-        if not self._at_word(word):
-            raise self._fail(f"found {self.current.describe()}", hint=f"'{word}'")
-        return self._advance()
-
-    def _at_word(self, word: str) -> bool:
-        return self.current.type == "IDENT" and self.current.value == word
-
-    def _optional(self, word: str, token_type: str = "STRING"):
-        """The value after ``word`` when the clause is present, else None."""
-        if not self._at_word(word):
-            return None
-        self._advance()
-        return self._expect(token_type).value
-
-    def _repeated(self, word: str, token_type: str = "STRING") -> list:
-        """The values of a run of ``word <token>`` clauses, possibly none."""
-        values = []
-        while self._at_word(word):
-            self._advance()
-            values.append(self._expect(token_type).value)
-        return values
-
-    def _grades(self, word: str) -> list[CompetencyGrade]:
-        """A run of ``word IDENT @ INT`` clauses, possibly none."""
-        grades = []
-        while self._at_word(word):
-            self._advance()
-            competency = self._competency_ref()
-            self._expect("AT")
-            grades.append(CompetencyGrade(competency=competency,
-                                          level=self._expect("INT").value))
-        return grades
-
     def _span_from(self, start: Token) -> SourceSpan:
         return SourceSpan(self.file, start.line, start.col,
                           self.last.end_line, self.last.end_col)
 
-    def _named(self, what: str, token_type: str = "STRING") -> str:
+    # Value readers, each ``(parser, values)`` where ``values`` holds the
+    # fields of the block read so far ------------------------------------
+
+    def _named(self, values, what: str, token_type: str) -> str:
         """A declared name: a string, or an IDENT whose underscores are spaces.
 
         A name must yield an id, so one with no usable characters is an error.
@@ -250,25 +333,40 @@ class _Parser:
                              token=token) from None
         return name
 
-    def _competency_ref(self) -> str:
-        return _decode(str(self._expect("IDENT").value))
+    def _choice(self, values, hint: str, what: str, choices: dict):
+        """An IDENT naming one of ``choices``, which map its text to its value."""
+        token = self._expect("IDENT", hint=hint)
+        if token.value not in choices:
+            raise self._fail(f"unknown {what} {token.value!r}",
+                             hint="one of " + ", ".join(choices), token=token)
+        return choices[token.value]
 
-    def _area_ref(self) -> Area:
-        token = self._expect("IDENT", hint="an area name (Customer, Solution, Endeavor)")
-        try:
-            return Area.from_name(_decode(str(token.value)))
-        except KeyError:
-            raise self._fail(
-                f"unknown area {str(token.value)!r}",
-                hint="one of Customer, Solution, Endeavor", token=token) from None
+    def _color(self, values) -> Area:
+        """The color of the area just read, which it must match."""
+        area = values["area"]
+        token = self._expect("IDENT", hint="a color name")
+        if token.value != area.color:
+            raise self._fail(f"area {area.value} must be {area.color}, not {token.value!r}",
+                             token=token)
+        return area
 
-    # Declarations --------------------------------------------------------
+    def _grade(self, values) -> CompetencyGrade:
+        competency = _decode(str(self._expect("IDENT").value))
+        self._expect("AT")
+        return CompetencyGrade(competency=competency, level=self._expect("INT").value)
+
+    # Blocks --------------------------------------------------------------
 
     def parse_document(self) -> list:
         declarations = []
         while self.current.type != "EOF":
+            token = self.current
+            key = _TOP.get(token.value) if token.type == "IDENT" else None
             try:
-                declarations.append(self._parse_declaration())
+                if key is None:
+                    raise self._fail(f"found {token.describe()} at top level",
+                                     hint=_TOP_HINT)
+                declarations.append(self._block(key))
             except _SyntaxFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._recover()
@@ -283,273 +381,145 @@ class _Parser:
                 depth += 1
             elif token.type == "RBRACE":
                 depth = max(0, depth - 1)
-            elif (depth == 0 and token.type == "IDENT"
-                  and token.value in _TOP_KEYWORDS):
+            elif depth == 0 and token.type == "IDENT" and token.value in _TOP:
                 return
             self._advance()
 
-    def _parse_declaration(self):
-        token = self.current
-        if token.type != "IDENT" or token.value not in _TOP_KEYWORDS:
-            raise self._fail(
-                f"found {token.describe()} at top level",
-                hint="one of " + ", ".join(f"'{w}'" for w in _TOP_KEYWORDS))
-        word = str(token.value)
-        if word == "kernel":
-            return self._parse_kernel()
-        if word == "practice":
-            return self._parse_practice()
-        if word == "method":
-            return self._parse_method()
-        if word == "role":
-            return self._parse_role()
-        return self._parse_phase()
+    def _block(self, key: str):
+        """The element of block ``key`` of :data:`GRAMMAR`, whose keyword is
+        the current token.
 
-    def _parse_kernel(self) -> Kernel:
-        start = self._expect_word("kernel")
-        name = self._named("kernel")
-        self._expect("LBRACE")
-        members = []
-        while not self.current.type == "RBRACE":
-            if self._at_word("area"):
-                members.append(self._parse_area())
-            elif self._at_word("alpha"):
-                members.append(self._parse_alpha())
-            elif self._at_word("competency"):
-                members.append(self._parse_competency())
-            elif self._at_word("space"):
-                members.append(self._parse_space_decl())
-            elif self._at_word("workproduct"):
-                members.append(self._parse_work_product("workproduct"))
+        Runs the block's precomputed steps; a child block is one direct call
+        of this method, so each level of nesting costs one frame.
+        """
+        cls, lists, steps = _PLANS[key]
+        tokens = self.tokens
+        start = self._advance()
+        values = {field: [] for field in lists}
+        for op, field, need, arg in steps:
+            token = tokens[self.pos]
+            if op is _RUN:
+                while token.type == "IDENT" and token.value in arg:
+                    target, read, child = arg[token.value]
+                    if child is None:
+                        self.pos += 1
+                        self.last = token
+                        values[target].append(read(self, values))
+                    else:
+                        values[target].append(self._block(child))
+                    token = tokens[self.pos]
+                if need and not values[field]:
+                    message, hint = need
+                    if field != "goals":
+                        raise self._fail(message, hint=hint)
+                    # Recorded, not raised: one practice without a goal
+                    # should not hide the findings after it.
+                    self.diagnostics.append(Diagnostic(
+                        rule=SYNTAX_RULE, severity=Severity.ERROR, path="",
+                        message=message, span=self._span_from(start), hint=hint))
+            elif op is _VALUE or op is _OPTIONAL:
+                if need is not None:
+                    if token.type != "IDENT" or token.value != need:
+                        if op is _OPTIONAL:
+                            continue
+                        raise self._fail(f"found {token.describe()}", hint=f"'{need}'")
+                    self.pos += 1
+                    self.last = token
+                values[field] = arg(self, values)
+            elif op is _OPEN:
+                if token.type != "LBRACE" and arg:
+                    break
+                self._expect("LBRACE")
             else:
-                raise self._fail(
-                    f"found {self.current.describe()} in kernel body",
-                    hint="'area', 'alpha', 'competency', 'space', 'workproduct', or '}'")
-        self._expect("RBRACE")
-        return Kernel(name=name, members=tuple(members), span=self._span_from(start))
+                if token.type != "RBRACE" and arg:
+                    raise self._fail(f"found {token.describe()} in kernel body", hint=arg)
+                self._expect("RBRACE")
+        for field in lists:
+            values[field] = tuple(values[field])
+        if cls is ActivitySpec:
+            values["tags"] = tuple(dict.fromkeys(values["tags"]))
+            if not values["tags"] and not values["sub_activities"]:
+                raise self._fail(f"activity {values['name']!r} requires at least one "
+                                 "tag or sub-activities", token=start)
+        return cls(**values, span=self._span_from(start))
 
-    def _parse_area(self) -> AreaDecl:
-        start = self._expect_word("area")
-        area = self._area_ref()
-        self._expect_word("color")
-        color_token = self._expect("IDENT", hint="a color name")
-        color = str(color_token.value)
-        if color != area.color:
-            raise self._fail(
-                f"area {area.value} must be {area.color}, not {color!r}",
-                token=color_token)
-        return AreaDecl(area=area, span=self._span_from(start))
 
-    def _parse_alpha(self) -> Alpha:
-        start = self._expect_word("alpha")
-        name = self._named("alpha", "IDENT")
-        self._expect_word("area")
-        area = self._area_ref()
-        self._expect("LBRACE")
-        states = []
-        while self._at_word("state"):
-            states.append(self._parse_state())
-        if not states:
-            raise self._fail("alpha requires at least one state", hint="'state'")
-        self._expect("RBRACE")
-        return Alpha(name=name, area=area, states=tuple(states),
-                     span=self._span_from(start))
+# Parse plans: each block's steps, computed once from GRAMMAR ------------------
 
-    def _parse_state(self) -> AlphaState:
-        start = self._expect_word("state")
-        name = self._named("state", "IDENT")
-        self._expect("LBRACE")
-        checklist = self._repeated("check")
-        if not checklist:
-            raise self._fail("state requires at least one checklist item",
-                             hint="'check'")
-        self._expect("RBRACE")
-        return AlphaState(name=name, checklist=tuple(checklist),
-                          span=self._span_from(start))
+# Step operations. A step is ``(op, field, need, arg)``:
+#   _VALUE    a value clause; ``need`` is its word or None, ``arg`` its reader;
+#   _OPTIONAL an optional value clause with word ``need`` and reader ``arg``;
+#   _RUN      a run; ``arg`` maps each word to ``(field, reader, child)``, one
+#             of reader and child block key being None, and a ``some`` clause
+#             gives its ``field`` and the ``need`` ``(message, hint)`` raised
+#             when the run is empty;
+#   _OPEN     ``{``, which ``arg`` says may be absent (then the body is empty);
+#   _CLOSE    ``}``; ``arg`` is the kernel's hint for a stray body token.
+_VALUE, _OPTIONAL, _RUN, _OPEN, _CLOSE = "value", "optional", "run", "open", "close"
 
-    def _parse_competency(self) -> Competency:
-        start = self._expect_word("competency")
-        name = self._named("competency", "IDENT")
-        self._expect_word("area")
-        area = self._area_ref()
-        levels = self._optional("levels", "INT")
-        return Competency(name=name, area=area,
-                          max_level=5 if levels is None else levels,
-                          span=self._span_from(start))
+_READERS = {
+    "string": lambda parser, values: parser._expect("STRING").value,
+    "int": lambda parser, values: parser._expect("INT").value,
+    "word": lambda parser, values: parser._expect("IDENT").value,
+    "contribution": lambda parser, values: Contribution.from_text(
+        parser._expect("STRING").value),
+    "color": _Parser._color,
+    "grade": _Parser._grade,
+    "area": partial(_Parser._choice, hint="an area name (Customer, Solution, Endeavor)",
+                    what="area", choices={area.value: area for area in Area}),
+    "category": partial(_Parser._choice, hint="a category", what="category",
+                        choices={c.value: c for c in WorkProductCategory}),
+    "tag": partial(_Parser._choice, hint="an activity tag", what="tag",
+                   choices={tag: tag for tag in ACTIVITY_TAGS}),
+    "phase": partial(_Parser._choice, hint="a phase id (P, A-H, RM)", what="phase id",
+                     choices={phase: phase for phase in PHASE_IDS}),
+}
 
-    def _parse_space_decl(self) -> Space:
-        start = self._expect_word("space")
-        name = self._named("space")
-        self._expect_word("area")
-        area = self._area_ref()
-        parent = self._optional("in")
-        goal = self._optional("goal")
-        return Space(name=name, area=area, parent=parent, goal=goal,
-                     span=self._span_from(start))
 
-    def _parse_work_product(self, keyword: str, *, require_category: bool = True) -> WorkProduct:
-        start = self._expect_word(keyword)
-        name = self._named("work product")
-        category = WorkProductCategory.OTHER
-        if require_category or self._at_word("category"):
-            self._expect_word("category")
-            token = self._expect("IDENT", hint="a category")
-            try:
-                category = WorkProductCategory(str(token.value))
-            except ValueError:
-                valid = ", ".join(c.value for c in WorkProductCategory)
-                raise self._fail(f"unknown category {str(token.value)!r}",
-                                 hint=f"one of {valid}", token=token) from None
-        description = self._optional("description")
-        return WorkProduct(name=name, category=category, description=description,
-                           span=self._span_from(start))
+def _reader(kind: str, what: str):
+    if kind in ("name", "ident"):
+        return partial(_Parser._named, what=what,
+                       token_type="STRING" if kind == "name" else "IDENT")
+    return _READERS[kind]
 
-    def _parse_role(self) -> Role:
-        start = self._expect_word("role")
-        name = self._named("role")
-        self._expect("LBRACE")
-        grades = self._grades("competency")
-        if not grades:
-            raise self._fail("role requires at least one competency",
-                             hint="'competency'")
-        self._expect("RBRACE")
-        return Role(name=name, competencies=tuple(grades),
-                    span=self._span_from(start))
 
-    def _parse_practice(self) -> Practice:
-        start = self._expect_word("practice")
-        name = self._named("practice")
-        self._expect_word("area")
-        area = self._area_ref()
-        self._expect("LBRACE")
-        goals = self._repeated("goal")
-        if not goals:
-            # Recoverable: record the error but keep parsing the body so one
-            # bad practice does not hide later findings.
-            self.diagnostics.append(Diagnostic(
-                rule=SYNTAX_RULE, severity=Severity.ERROR, path="",
-                message="practice requires at least one goal",
-                span=self._span_from(start), hint="'goal'"))
-        inputs = self._repeated("input")
-        outputs = []
-        while self._at_word("output"):
-            outputs.append(self._parse_work_product("output", require_category=False))
-        members = []
-        while self._at_word("space"):
-            members.append(self._parse_space_block())
-        self._expect("RBRACE")
-        return Practice(name=name, area=area, goals=tuple(goals),
-                        inputs=tuple(inputs), outputs=tuple(outputs),
-                        members=tuple(members), span=self._span_from(start))
+def _step(run: tuple[_Clause, ...], what: str) -> tuple:
+    clause = run[0]
+    if len(run) == 1 and clause.repeat in ("one", "opt"):
+        op = _VALUE if clause.repeat == "one" else _OPTIONAL
+        return (op, clause.field, clause.word, _reader(clause.kind, what))
+    words, field, need = {}, None, None
+    for clause in run:
+        if clause.kind in GRAMMAR:
+            words[clause.word] = (clause.field, None, clause.kind)
+        else:
+            words[clause.word] = (clause.field, _reader(clause.kind, what), None)
+        if clause.repeat == "some":
+            noun = _AT_LEAST.get(clause.word, clause.word)
+            field = clause.field
+            need = (f"{what} requires at least one {noun}", f"'{clause.word}'")
+    return (_RUN, field, need, words)
 
-    def _parse_space_block(self) -> Space:
-        start = self._expect_word("space")
-        name = self._named("space")
-        goal = self._optional("goal")
-        self._expect("LBRACE")
-        members = []
-        while True:
-            if self._at_word("space"):
-                members.append(self._parse_space_block())
-            elif self._at_word("activity"):
-                members.append(self._parse_activity())
-            else:
-                break
-        self._expect("RBRACE")
-        return Space(name=name, goal=goal, members=tuple(members),
-                     span=self._span_from(start))
 
-    def _parse_activity(self) -> Activity:
-        start = self._expect_word("activity")
-        name = self._named("activity")
-        requires = self._grades("requires")
-        produces = [Contribution.from_text(text) for text in self._repeated("produces")]
-        role = self._optional("role")
-        tags = self._repeated("tag", "IDENT")
-        return Activity(name=name, requires=tuple(requires), produces=tuple(produces),
-                        role=role, tags=tuple(tags), span=self._span_from(start))
+def _plan(block: _Block) -> tuple:
+    """``(element class, list fields, steps)``: what ``_Parser._block`` runs."""
+    what = "work product" if block.cls is WorkProduct else block.cls.kind
+    steps = [_step((clause,), what) for clause in block.head]
+    if block.braces != "no":
+        hint = None
+        if block.cls is Kernel:
+            hint = ", ".join(f"'{clause.word}'" for clause in block.body[0]) + ", or '}'"
+        steps.append((_OPEN, None, None, block.braces == "opt"))
+        steps.extend(_step(run, what) for run in block.body)
+        steps.append((_CLOSE, None, None, hint))
+    clauses = [*block.head, *(clause for run in block.body for clause in run)]
+    lists = dict.fromkeys(c.field for c in clauses if c.repeat in ("many", "some"))
+    return block.cls, tuple(lists), tuple(steps)
 
-    def _parse_method(self) -> Method:
-        start = self._expect_word("method")
-        name = self._named("method")
-        self._expect("LBRACE")
-        preamble = self._optional("preamble")
-        cycle = self._repeated("cycle")
-        if not cycle:
-            raise self._fail("method requires at least one cycle practice",
-                             hint="'cycle'")
-        concurrent = self._repeated("concurrent")
-        self._expect("RBRACE")
-        return Method(name=name, cycle=tuple(cycle), preamble=preamble,
-                      concurrent=tuple(concurrent), span=self._span_from(start))
 
-    def _parse_phase(self) -> TogafPhase:
-        start = self._expect_word("togaf_phase")
-        id_token = self._expect("IDENT", hint="a phase id (P, A-H, RM)")
-        phase_id = str(id_token.value)
-        if phase_id not in PHASE_IDS:
-            raise self._fail(f"unknown phase id {phase_id!r}",
-                             hint="one of " + ", ".join(PHASE_IDS), token=id_token)
-        name = self._named("phase")
-        self._expect("LBRACE")
-        self._expect_word("objective")
-        objective = str(self._expect("STRING").value)
-        outputs = []
-        steps = []
-        while True:
-            if self._at_word("output"):
-                outputs.append(self._parse_work_product("output"))
-            elif self._at_word("step"):
-                steps.append(self._parse_step())
-            else:
-                break
-        self._expect("RBRACE")
-        return TogafPhase(phase=phase_id, name=name, objective=objective,
-                          steps=tuple(steps), outputs=tuple(outputs),
-                          span=self._span_from(start))
-
-    def _parse_step(self) -> StepSpec:
-        start = self._expect_word("step")
-        name = self._named("step")
-        goal = self._optional("goal")
-        activities = []
-        if self.current.type == "LBRACE":
-            self._advance()
-            while self._at_word("activity"):
-                activities.append(self._parse_spec_activity())
-            self._expect("RBRACE")
-        return StepSpec(name=name, goal=goal, activities=tuple(activities),
-                        span=self._span_from(start))
-
-    def _parse_spec_activity(self) -> ActivitySpec:
-        start = self._expect_word("activity")
-        name = self._named("activity")
-        tags = []
-        while self._at_word("tag"):
-            self._advance()
-            token = self._expect("IDENT", hint="an activity tag")
-            tag = str(token.value)
-            if tag not in ACTIVITY_TAGS:
-                raise self._fail(f"unknown tag {tag!r}",
-                                 hint="one of " + ", ".join(ACTIVITY_TAGS),
-                                 token=token)
-            if tag not in tags:
-                tags.append(tag)
-        feeds = [Contribution.from_text(text) for text in self._repeated("feeds")]
-        role = self._optional("role")
-        subs = []
-        if self.current.type == "LBRACE":
-            self._advance()
-            while self._at_word("activity"):
-                subs.append(self._parse_spec_activity())
-            self._expect("RBRACE")
-        if not tags and not subs:
-            raise self._fail(
-                f"activity {name!r} requires at least one tag or sub-activities",
-                token=start)
-        return ActivitySpec(name=name, tags=tuple(tags), feeds=tuple(feeds),
-                            role=role, sub_activities=tuple(subs),
-                            span=self._span_from(start))
+_PLANS = {key: _plan(block) for key, block in GRAMMAR.items()}
+_TOP = {clause.word: clause.kind for clause in _DOCUMENT}
+_TOP_HINT = "one of " + ", ".join(f"'{word}'" for word in _TOP)
 
 
 def parse(source: str, file: str = "<input>") -> ModelDocument:

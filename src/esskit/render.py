@@ -2,27 +2,24 @@
 
 ``render_canonical`` is the inverse of :func:`esskit.dsl.parse` up to source
 spans: fixed two-space indentation, declaration order preserved, one block
-member per line, every optional attribute written explicitly. Parsing the
-rendered text reproduces a structurally equal document, and rendering is
-idempotent.
+member per line, every optional attribute written explicitly. It writes the
+clauses of :data:`esskit.dsl.GRAMMAR`, the table the parser reads, so
+parsing the rendered text reproduces a structurally equal document, and
+rendering is idempotent.
 """
 
 from __future__ import annotations
 
 import re
 
+from .dsl import _DOCUMENT, _TOKEN_PATTERNS, GRAMMAR
 from .model import (
     Activity,
-    ActivitySpec,
     Alpha,
     AreaDecl,
     Competency,
-    Contribution,
-    Kernel,
-    Method,
     ModelDocument,
     Practice,
-    Role,
     Space,
     StepSpec,
     TogafPhase,
@@ -33,40 +30,70 @@ from .model import (
     walk_specs,
 )
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Full matches of the lexer's own STRING and IDENT patterns.
+_STRING = re.compile(_TOKEN_PATTERNS["STRING"], re.VERBOSE).fullmatch
+_IDENT = re.compile(_TOKEN_PATTERNS["IDENT"], re.VERBOSE).fullmatch
 
 
 def _string(value: str) -> str:
-    if "\\" in value:
-        raise ValueError(f"text {value!r} contains a backslash, which the "
-                         "string syntax cannot represent")
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"text {value!r} contains a line break")
-    return '"' + value.replace('"', '\\"') + '"'
+    quoted = '"' + value.replace('"', '\\"') + '"'
+    if _STRING(quoted) is None:
+        raise ValueError(f"text {value!r} is not representable as a string")
+    return quoted
 
 
 def _ident(name: str) -> str:
     encoded = name.replace(" ", "_")
-    if not _IDENT_RE.match(encoded):
+    if _IDENT(encoded) is None:
         raise ValueError(f"name {name!r} is not representable as an identifier")
     return encoded
 
 
-def _contribution(contribution: Contribution) -> str:
-    return _string(contribution.rendered_name())
+# One writer per value kind of the grammar.
+_WRITERS = {
+    **dict.fromkeys(("int", "word", "tag", "phase"), str),
+    "name": _string,
+    "string": _string,
+    "ident": _ident,
+    "area": lambda area: _ident(area.value),
+    "color": lambda area: area.color,
+    "category": lambda category: category.value,
+    "grade": lambda grade: f"{_ident(grade.competency)} @ {grade.level}",
+    "contribution": lambda contribution: _string(contribution.rendered_name()),
+}
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+# How often a clause's value is written: once, when not None, or per item.
+_ONE, _OPT, _MANY = 0, 1, 2
 
-    def line(self, depth: int, text: str) -> None:
-        self.lines.append("  " * depth + text)
 
-    def text(self) -> str:
-        if not self.lines:
-            return ""
-        return "\n".join(self.lines) + "\n"
+def _entry(clause, prefix: str) -> tuple:
+    repeat = {"one": _ONE, "opt": _OPT}.get(clause.repeat, _MANY)
+    return prefix, clause.field, _WRITERS[clause.kind], repeat, None
+
+
+def _plan(block) -> tuple:
+    """``(keyword, head entries, body entries, braces)`` of a block.
+
+    An entry is ``(prefix, field, writer, repeat, children)``. A field of
+    child blocks is one body entry whose ``children`` maps each element class
+    it may hold to that block's key; ``children`` is None for a value field.
+    """
+    head = tuple(_entry(clause, f" {clause.word} " if clause.word else " ")
+                 for clause in block.head)
+    body: dict = {}
+    for run in block.body:
+        for clause in run:
+            if clause.kind in GRAMMAR:
+                entry = body.setdefault(clause.field, (None, clause.field, None, _MANY, {}))
+                entry[4][GRAMMAR[clause.kind].cls] = clause.kind
+            else:
+                body[clause.field] = _entry(clause, f"{clause.word} ")
+    return block.word, head, tuple(body.values()), block.braces
+
+
+_PLANS = {key: _plan(block) for key, block in GRAMMAR.items()}
+_DECLARATIONS = {GRAMMAR[clause.kind].cls: clause.kind for clause in _DOCUMENT}
 
 
 def render_canonical(document: ModelDocument) -> str:
@@ -74,173 +101,51 @@ def render_canonical(document: ModelDocument) -> str:
 
     An empty document renders as empty text. Raises ValueError for names the
     surface syntax cannot carry (backslashes, line breaks, or names that do
-    not survive the identifier encoding).
+    not survive the identifier encoding), and TypeError for an element the
+    grammar has no place for, such as an activity directly in a practice.
     """
-    w = _Writer()
+    lines: list[str] = []
     for declaration in document.declarations:
-        _render_declaration(w, declaration)
-    return w.text()
+        key = _DECLARATIONS.get(declaration.__class__)
+        if key is None:
+            raise TypeError(f"cannot render {type(declaration).__name__}")
+        _render(lines, declaration, key, "")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
-def _render_declaration(w: _Writer, declaration) -> None:
-    if isinstance(declaration, Kernel):
-        _render_kernel(w, declaration)
-    elif isinstance(declaration, Practice):
-        _render_practice(w, declaration)
-    elif isinstance(declaration, Method):
-        _render_method(w, declaration)
-    elif isinstance(declaration, Role):
-        _render_role(w, declaration)
-    elif isinstance(declaration, TogafPhase):
-        _render_phase(w, declaration)
-    else:
-        raise TypeError(f"cannot render {type(declaration).__name__}")
-
-
-def _render_kernel(w: _Writer, kernel: Kernel) -> None:
-    w.line(0, f"kernel {_string(kernel.name)} {{")
-    for member in kernel.members:
-        if isinstance(member, AreaDecl):
-            w.line(1, f"area {_ident(member.name)} color {member.area.color}")
-        elif isinstance(member, Alpha):
-            _render_alpha(w, member)
-        elif isinstance(member, Competency):
-            w.line(1, f"competency {_ident(member.name)} area "
-                      f"{_ident(member.area.value)} levels {member.max_level}")
-        elif isinstance(member, Space):
-            _render_space_decl(w, member)
-        elif isinstance(member, WorkProduct):
-            w.line(1, "workproduct " + _work_product_attrs(member))
-        else:
-            raise TypeError(f"cannot render kernel member {type(member).__name__}")
-    w.line(0, "}")
-
-
-def _render_alpha(w: _Writer, alpha: Alpha) -> None:
-    w.line(1, f"alpha {_ident(alpha.name)} area {_ident(alpha.area.value)} {{")
-    for state in alpha.states:
-        w.line(2, f"state {_ident(state.name)} {{")
-        for item in state.checklist:
-            w.line(3, f"check {_string(item)}")
-        w.line(2, "}")
-    w.line(1, "}")
-
-
-def _render_space_decl(w: _Writer, space: Space) -> None:
-    parts = [f"space {_string(space.name)} area {_ident(space.area.value)}"]
-    if space.parent is not None:
-        parts.append(f"in {_string(space.parent)}")
-    if space.goal is not None:
-        parts.append(f"goal {_string(space.goal)}")
-    w.line(1, " ".join(parts))
-
-
-def _work_product_attrs(wp: WorkProduct) -> str:
-    text = f"{_string(wp.name)} category {wp.category.value}"
-    if wp.description is not None:
-        text += f" description {_string(wp.description)}"
-    return text
-
-
-def _render_role(w: _Writer, role: Role) -> None:
-    w.line(0, f"role {_string(role.name)} {{")
-    for grade in role.competencies:
-        w.line(1, f"competency {_ident(grade.competency)} @ {grade.level}")
-    w.line(0, "}")
-
-
-def _render_practice(w: _Writer, practice: Practice) -> None:
-    w.line(0, f"practice {_string(practice.name)} area "
-              f"{_ident(practice.area.value)} {{")
-    for goal in practice.goals:
-        w.line(1, f"goal {_string(goal)}")
-    for item in practice.inputs:
-        w.line(1, f"input {_string(item)}")
-    for wp in practice.outputs:
-        w.line(1, "output " + _work_product_attrs(wp))
-    for member in practice.members:
-        if isinstance(member, Space):
-            _render_space_block(w, member, 1)
-        else:
-            _render_activity(w, member, 1)
-    w.line(0, "}")
-
-
-def _render_space_block(w: _Writer, space: Space, depth: int) -> None:
-    head = f"space {_string(space.name)}"
-    if space.goal is not None:
-        head += f" goal {_string(space.goal)}"
-    w.line(depth, head + " {")
-    for member in space.members:
-        if isinstance(member, Space):
-            _render_space_block(w, member, depth + 1)
-        else:
-            _render_activity(w, member, depth + 1)
-    w.line(depth, "}")
-
-
-def _render_activity(w: _Writer, activity: Activity, depth: int) -> None:
-    parts = [f"activity {_string(activity.name)}"]
-    for grade in activity.requires:
-        parts.append(f"requires {_ident(grade.competency)} @ {grade.level}")
-    for contribution in activity.produces:
-        parts.append(f"produces {_contribution(contribution)}")
-    if activity.role is not None:
-        parts.append(f"role {_string(activity.role)}")
-    for tag in activity.tags:
-        parts.append(f"tag {tag}")
-    w.line(depth, " ".join(parts))
-
-
-def _render_method(w: _Writer, method: Method) -> None:
-    w.line(0, f"method {_string(method.name)} {{")
-    if method.preamble is not None:
-        w.line(1, f"preamble {_string(method.preamble)}")
-    for name in method.cycle:
-        w.line(1, f"cycle {_string(name)}")
-    for name in method.concurrent:
-        w.line(1, f"concurrent {_string(name)}")
-    w.line(0, "}")
-
-
-def _render_phase(w: _Writer, phase: TogafPhase) -> None:
-    w.line(0, f"togaf_phase {phase.phase} {_string(phase.name)} {{")
-    w.line(1, f"objective {_string(phase.objective)}")
-    for wp in phase.outputs:
-        w.line(1, "output " + _work_product_attrs(wp))
-    for step in phase.steps:
-        _render_step(w, step)
-    w.line(0, "}")
-
-
-def _render_step(w: _Writer, step: StepSpec) -> None:
-    head = f"step {_string(step.name)}"
-    if step.goal is not None:
-        head += f" goal {_string(step.goal)}"
-    if not step.activities:
-        w.line(1, head)
+def _render(lines: list[str], element, key: str, indent: str) -> None:
+    """Append the lines of ``element``, an instance of block ``key``; a child
+    block is one direct call of this function, so each level of nesting
+    costs one frame."""
+    word, head, body, braces = _PLANS[key]
+    line = indent + word
+    for prefix, field, write, repeat, _ in head:
+        value = getattr(element, field)
+        if repeat is _MANY:
+            for item in value:
+                line += prefix + write(item)
+        elif repeat is _ONE or value is not None:
+            line += prefix + write(value)
+    if braces == "no" or (braces == "opt" and not any(
+            getattr(element, entry[1]) for entry in body)):
+        lines.append(line)
         return
-    w.line(1, head + " {")
-    for spec in step.activities:
-        _render_spec_activity(w, spec, 2)
-    w.line(1, "}")
-
-
-def _render_spec_activity(w: _Writer, spec: ActivitySpec, depth: int) -> None:
-    parts = [f"activity {_string(spec.name)}"]
-    for tag in spec.tags:
-        parts.append(f"tag {tag}")
-    for contribution in spec.feeds:
-        parts.append(f"feeds {_contribution(contribution)}")
-    if spec.role is not None:
-        parts.append(f"role {_string(spec.role)}")
-    if not spec.sub_activities:
-        w.line(depth, " ".join(parts))
-        return
-    w.line(depth, " ".join(parts) + " {")
-    for sub in spec.sub_activities:
-        _render_spec_activity(w, sub, depth + 1)
-    w.line(depth, "}")
+    lines.append(line + " {")
+    inner = indent + "  "
+    for prefix, field, write, repeat, children in body:
+        value = getattr(element, field)
+        if children is not None:
+            for child in value:
+                child_key = children.get(child.__class__)
+                if child_key is None:
+                    raise TypeError(f"cannot render {word} member {type(child).__name__}")
+                _render(lines, child, child_key, inner)
+        elif repeat is _MANY:
+            for item in value:
+                lines.append(inner + prefix + write(item))
+        elif repeat is _ONE or value is not None:
+            lines.append(inner + prefix + write(value))
+    lines.append(indent + "}")
 
 
 # Machine-readable export ---------------------------------------------------

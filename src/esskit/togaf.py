@@ -90,6 +90,11 @@ def map_phase(spec: TogafPhase, model: ResolvedModel,
     tags on a decomposed spec or a feed of an undeclared output; a feed that
     needs a part; a decomposition nested too deeply, an undeclared role or
     an unknown tag.
+
+    The undeclared-output and undeclared-role checks guard library callers
+    that pass a phase the model did not resolve: for every phase of a
+    resolved document, :func:`esskit.validator.resolve` has already reported
+    both as V001, which is what ``esskit map`` prints.
     """
     config = config or CheckConfig()
 

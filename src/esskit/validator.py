@@ -184,14 +184,20 @@ def resolve(document: ModelDocument) -> ResolvedModel:
 
 
 def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfile:
-    """Element counts per area for one practice of a resolved model."""
+    """Element counts per area for one practice of a resolved model.
+
+    A requirement of a competency the model does not declare counts in no
+    area, so a model built without :func:`resolve` still gets a profile.
+    """
     profile = AreaProfile()
     for space in practice.spaces():
         effective = space.area or practice.area
         profile.counts[effective] += 1
     for activity in practice.all_activities():
         for grade in activity.requires:
-            profile.counts[model.competency_area(grade.competency)] += 1
+            declared = model.competencies.get(grade.competency)
+            if declared is not None:
+                profile.counts[declared.area] += 1
     return profile
 
 

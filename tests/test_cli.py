@@ -184,6 +184,20 @@ def test_export_tree_carries_diagnostics(cli, corpus_dir, manifest):
                for e in tree[arrays])
 
 
+
+def test_export_diagnostics_follow_the_one_order(cli, tmp_path):
+    # The L004 space comes first in the file, the V015 practice after it.
+    source = tmp_path / "mixed.ess"
+    source.write_text(KERNEL_PRELUDE + (
+        'practice "Early" area Customer { goal "g" space "Opaque" { } }\n'
+        'practice "Late" area Endeavor { goal "g" space "S" {\n'
+        '  activity "a" requires Stakeholder_Representation @ 3\n'
+        '  activity "b" requires Stakeholder_Representation @ 3 } }\n'), encoding="utf-8")
+    code, out, err = cli("export", str(source))
+    assert (code, err) == (0, "")
+    assert [(d["rule"], d["line"]) for d in json.loads(out)["diagnostics"]] == [
+        ("L004", 14), ("V015", 15)]
+
 def test_export_is_deterministic(cli, corpus_dir):
     args = _corpus_args(corpus_dir)
     first = cli("export", *args)[1]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from esskit import dsl, render, togaf, validator
 from esskit.diagnostics import ParseError
-from esskit.model import Area, ModelDocument, Role, WorkProductCategory
+from esskit.model import Activity, Area, ModelDocument, Practice, Role, WorkProductCategory
 
 from conftest import generate_document
 
@@ -168,6 +170,14 @@ def test_render_rejects_backslash():
         render.render_canonical(document)
 
 
+def test_render_refuses_an_activity_directly_in_a_practice():
+    # The V016 case: constructible by hand, but the grammar has no clause for it.
+    practice = Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                        members=(Activity(name="loose"),))
+    with pytest.raises(TypeError, match="cannot render practice member Activity"):
+        render.render_canonical(ModelDocument([practice]))
+
+
 def test_deep_nesting_is_a_parse_error():
     body = 'space "S" { ' * 3000 + "} " * 3000
     diagnostics = _diagnostics('practice "P" area Customer { goal "g" ' + body + "}")
@@ -241,14 +251,20 @@ def _mutated_corpus(draw):
     return source
 
 
+# Role declarations with arbitrary string names, so that some inputs parse.
+_ROLES = st.lists(st.from_regex(r'(?:[^"\\\n]|\\")*', fullmatch=True), max_size=3).map(
+    lambda names: "".join(f'role "{name}" {{ competency A @ 1 }}\n' for name in names))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(source=st.one_of(st.text(), _WORDS))
+@given(source=st.one_of(st.text(), _WORDS, _ROLES))
 def test_tokenize_and_parse_are_total(source):
-    for entry_point in (dsl.tokenize, dsl.parse):
-        try:
-            entry_point(source)
-        except ParseError:
-            pass
+    try:
+        dsl.tokenize(source)
+        document = dsl.parse(source)
+    except ParseError:
+        return
+    assert dsl.parse(render.render_canonical(document)) == document
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -278,3 +294,100 @@ def test_token_spans_slice_back_to_their_text(lexemes):
             assert token.value == text
     eof = tokens[-1]
     assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
+
+
+# Guards on the grammar table -----------------------------------------------------
+
+# Fragments spliced into corpus text: punctuation, keywords in the wrong
+# place, names and numbers.
+_FRAGMENTS = ['"', '""', '"x"', "{", "}", "@", "\\", "#", "\n", " ", "_", "0", "7",
+              "goal", "space", "activity", "area", "color", "tag", "levels", "check",
+              "state", "output", "step", "feeds", "category", "in", "role", "kernel",
+              "Customer", "green", "scroll", "sings", "Z"]
+_TOP_LEVEL = ("kernel", "practice", "method", "role", "togaf_phase")
+
+
+def _corpus_variants(count: int, seed: int):
+    """Seeded mutations and truncations of corpus windows of 1-60 lines,
+    most of them starting at a top-level declaration."""
+    rng = random.Random(seed)
+    files = [text.split("\n") for name, text in sorted(togaf.corpus_files().items())
+             if name.endswith(".ess")]
+    for index in range(count):
+        lines = rng.choice(files)
+        starts = [i for i, line in enumerate(lines) if line.startswith(_TOP_LEVEL)]
+        at_declaration = starts and rng.random() < 0.8
+        start = rng.choice(starts) if at_declaration else rng.randrange(len(lines))
+        source = "\n".join(lines[start:start + rng.randint(1, 60)])
+        if index % 4 == 0:
+            yield source[:rng.randrange(len(source) + 1)]
+            continue
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(source) + 1)
+            source = source[:at] + rng.choice(_FRAGMENTS) + source[at + rng.randint(0, 6):]
+        yield source
+
+
+def _outcome_lines(source: str):
+    try:
+        dsl.parse(source, "variant.ess")
+    except ParseError as failure:
+        for d in failure.diagnostics:
+            span = d.span and (d.span.start_line, d.span.start_col,
+                               d.span.end_line, d.span.end_col)
+            yield f"{d.rule}|{d.message}|{d.hint}|{span}"
+    else:
+        yield "parsed"
+
+
+# sha256 of the outcome lines of 2,000 variants, taken from the hand-written
+# parser that the grammar table replaced.
+_VARIANTS_SHA256 = "ca72e52e22418e36bfd47225fce072951ab6ceee40e94c44ce4d030bd6fc28a1"
+
+
+def test_parse_messages_on_corpus_variants_are_unchanged():
+    digest = hashlib.sha256()
+    for source in _corpus_variants(2000, seed=20261018):
+        for line in _outcome_lines(source):
+            digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _VARIANTS_SHA256
+
+
+def _filled_clauses(documents):
+    """(block key, clause word, field) of every clause some element fills."""
+    top = {dsl.GRAMMAR[clause.kind].cls: clause.kind for clause in dsl._DOCUMENT}
+    stack = [(top[type(d)], d) for document in documents for d in document.declarations]
+    filled = set()
+    while stack:
+        key, element = stack.pop()
+        block = dsl.GRAMMAR[key]
+        for clause in (*block.head, *(clause for run in block.body for clause in run)):
+            value = getattr(element, clause.field)
+            if clause.kind in dsl.GRAMMAR:
+                children = [(clause.kind, child) for child in value
+                            if type(child) is dsl.GRAMMAR[clause.kind].cls]
+                stack.extend(children)
+                value = children
+            if value not in (None, (), []):
+                filled.add((key, clause.word, clause.field))
+    return filled
+
+
+def test_every_grammar_clause_is_exercised(corpus):
+    # The documents the round-trip tests render: the corpus and the
+    # generated documents of test_round_trip_generated_documents and of
+    # test_acceptance.test_criterion_2_round_trip (the same seed).
+    rng = random.Random(20260809)
+    documents = [corpus] + [generate_document(rng) for _ in range(120)]
+    clauses = {(key, clause.word, clause.field) for key, block in dsl.GRAMMAR.items()
+               for clause in (*block.head, *(c for run in block.body for c in run))}
+    assert clauses - _filled_clauses(documents) == set()
+
+
+def test_docstring_grammar_uses_the_table_words():
+    grammar = dsl.__doc__.split("\n\n")[2]
+    assert grammar.lstrip().startswith("document    :=")
+    words = {block.word for block in dsl.GRAMMAR.values()} | {
+        clause.word for block in dsl.GRAMMAR.values()
+        for clause in (*block.head, *(c for run in block.body for c in run)) if clause.word}
+    assert set(re.findall(r'"([a-z_]+)"', grammar)) == words

@@ -250,6 +250,19 @@ def test_area_profile_empty_practice():
     assert profile.plurality == frozenset()
 
 
+
+def test_unresolved_model_requirement_counts_in_no_area():
+    # ResolvedModel is public and skips resolve(), so a requirement may name
+    # a competency the model does not declare.
+    document = parse_with_kernel(
+        'practice "P" area Customer { goal "g"\n'
+        '  space "S" { activity "a" requires Nope @ 3\n'
+        '              activity "b" requires Analysis @ 3 } }')
+    model = validator.ResolvedModel(document)
+    profile = validator.compute_area_profile(model, model.practices["P"])
+    assert profile.counts == {Area.CUSTOMER: 1, Area.SOLUTION: 1, Area.ENDEAVOR: 0}
+    assert validator.check_wellformedness(model) == []
+
 # Hand counts over the corpus files, recorded before the implementation ran:
 # Preliminary has 6 top-level spaces and requirement areas C6/S6/E2; Phase A
 # has 11 top-level spaces and requirement areas C11/S10/E4. Spaces inherit
