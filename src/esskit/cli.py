@@ -261,7 +261,7 @@ def _cmd_export(args) -> int:
     model = _load(args)
     diagnostics = ordered([*validator.check_wellformedness(model, _config(args)),
                            *lint.run_lints(model)])
-    sys.stdout.write(render.export_json(model.document, diagnostics=diagnostics))
+    sys.stdout.write(render.export_json(model, diagnostics=diagnostics))
     return _exit_for(diagnostics, args.strict)
 
 

@@ -29,17 +29,19 @@ class Record:
         cls._shown = tuple(name for name in names if name not in hidden)
         # One exec per class, with the attribute tuples written out: a loop
         # over the names at call time would make deep comparisons of model
-        # trees several times slower.
-        scope = {"_set": object.__setattr__}
+        # trees several times slower. ``__init__`` stores the fields in the
+        # instance dict, since ``__setattr__`` refuses; a dict store costs
+        # about half an ``object.__setattr__`` call.
+        scope = {}
         params = ["self"]
-        lines = []
+        lines = ["    _fields = self.__dict__"]
         for name in names:
             if name in cls.__dict__:
                 scope[f"_default_{name}"] = cls.__dict__[name]
                 params.append(f"{name}=_default_{name}")
             else:
                 params.append(name)
-            lines.append(f"    _set(self, {name!r}, {name})")
+            lines.append(f"    _fields[{name!r}] = {name}")
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")
         mine = "".join(f"self.{name}," for name in cls._shown)

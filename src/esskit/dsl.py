@@ -75,14 +75,13 @@ from .model import (
 SYNTAX_RULE = "P001"
 DUPLICATE_RULE = "P002"
 
-# One alternative per token kind, tried at each position. ``open`` matches
-# what ``STRING`` cannot: a string cut short by a line break, the end of the
-# input or a backslash not followed by a quote. The classes are spelled out
-# because ``\s``, ``\d`` and ``\w`` also match non-ASCII characters. Strings
-# are written as runs between escaped quotes, which the regex engine matches
-# far faster than one alternation per character.
+# One alternative per token kind. ``open`` matches what ``STRING`` cannot: a
+# string cut short by the end of its line or a backslash not followed by a
+# quote. The classes are spelled out because ``\s``, ``\d`` and ``\w`` also
+# match non-ASCII characters. Strings are written as runs between escaped
+# quotes, which the regex engine matches far faster than one alternation per
+# character.
 _TOKEN_PATTERNS = {
-    "skip": r"[ \t\r\n]+ | \#[^\n]*",
     "STRING": r'" [^"\\\n]* (?: \\" [^"\\\n]* )* "',
     "open": r'" [^"\\\n]* (?: \\" [^"\\\n]* )*',
     "INT": r"[0-9]+",
@@ -91,8 +90,12 @@ _TOKEN_PATTERNS = {
     "RBRACE": r"\}",
     "AT": r"@",
 }
-_TOKEN = re.compile("|".join(f"(?P<{kind}> {pattern})"
-                             for kind, pattern in _TOKEN_PATTERNS.items()), re.VERBOSE)
+# Searched over one line at a time, so the blanks between matches are skipped
+# and a comment runs to the end of the line; ``bad`` is any other character.
+_LINE = re.compile("|".join([*(f"(?P<{kind}> {pattern})"
+                               for kind, pattern in _TOKEN_PATTERNS.items()),
+                             r"(?P<comment> \# .*)", r"(?P<bad> [^ \t\r\n])"]), re.VERBOSE)
+_MARKS = frozenset(("LBRACE", "RBRACE", "AT"))
 
 
 class Token(Record):
@@ -128,39 +131,49 @@ def _diagnostic(file: str, line: int, col: int, message: str, *,
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Token stream for ``source``; lexical errors raise :class:`ParseError`.
 
-    Strings cannot hold a line break, so no token spans one and only
-    ``skip`` matches move to a new line.
+    Strings cannot hold a line break, so no token spans one and the source
+    is searched one line at a time. Equal words and strings share one value
+    object, which keeps the token list of a large file small.
     """
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        col = pos - line_start + 1
-        kind = match.lastgroup if match else None
-        if kind in (None, "open"):
-            if kind is None:
-                message = f"unexpected character {source[pos]!r}"
-            elif source.startswith("\\", match.end()):
-                col += match.end() - pos
-                message = "invalid escape sequence; only \\\" is supported"
+    append = tokens.append
+    values: dict[str, str] = {}
+    number, start = 0, 0
+    while True:
+        number += 1
+        stop = source.find("\n", start)
+        end = len(source) if stop < 0 else stop
+        for match in _LINE.finditer(source, start, end):
+            kind = match.lastgroup
+            if kind == "IDENT":
+                value = match.group()
+                value = values.setdefault(value, value)
+            elif kind in _MARKS:
+                value = match.group()
+            elif kind == "STRING":
+                value = match.group()[1:-1].replace('\\"', '"')
+                value = values.setdefault(value, value)
+            elif kind == "INT":
+                value = int(match.group())
+            elif kind == "comment":
+                continue
             else:
-                message = "unterminated string"
-            raise ParseError([_diagnostic(file, line, col, message)])
-        end = match.end()
-        if kind == "skip":
-            breaks = source.count("\n", pos, end)
-            if breaks:
-                line += breaks
-                line_start = source.rindex("\n", pos, end) + 1
-        else:
-            text = match.group()
-            value = (int(text) if kind == "INT"
-                     else text[1:-1].replace('\\"', '"') if kind == "STRING"
-                     else text)
-            tokens.append(Token(kind, value, line, col, line, col + end - pos - 1))
-        pos = end
-    col = len(source) - line_start + 1
-    tokens.append(Token("EOF", "", line, col, line, col))
+                col = match.start() - start + 1
+                if kind == "bad":
+                    message = f"unexpected character {match.group()!r}"
+                elif source.startswith("\\", match.end()):
+                    col = match.end() - start + 1
+                    message = "invalid escape sequence; only \\\" is supported"
+                else:
+                    message = "unterminated string"
+                raise ParseError([_diagnostic(file, number, col, message)])
+            append(Token(kind, value, number, match.start() - start + 1,
+                         number, match.end() - start))
+        if stop < 0:
+            break
+        start = stop + 1
+    col = len(source) - start + 1
+    append(Token("EOF", "", number, col, number, col))
     return tokens
 
 

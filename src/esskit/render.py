@@ -14,6 +14,8 @@ import re
 
 from .dsl import _DOCUMENT, _TOKEN_PATTERNS, GRAMMAR
 from .model import (
+    ACTIVITY_TAGS,
+    PHASE_IDS,
     Activity,
     Alpha,
     AreaDecl,
@@ -49,9 +51,27 @@ def _ident(name: str) -> str:
     return encoded
 
 
+def _word(text: str) -> str:
+    if _IDENT(text) is None:
+        raise ValueError(f"tag {text!r} is not representable as an identifier")
+    return text
+
+
+def _one_of(what: str, choices: tuple[str, ...]):
+    def write(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{what} {value!r} is not one of {', '.join(choices)}")
+        return value
+
+    return write
+
+
 # One writer per value kind of the grammar.
 _WRITERS = {
-    **dict.fromkeys(("int", "word", "tag", "phase"), str),
+    "int": str,
+    "word": _word,
+    "tag": _one_of("activity tag", ACTIVITY_TAGS),
+    "phase": _one_of("phase id", PHASE_IDS),
     "name": _string,
     "string": _string,
     "ident": _ident,
@@ -151,20 +171,23 @@ def _render(lines: list[str], element, key: str, indent: str) -> None:
 # Machine-readable export ---------------------------------------------------
 
 
-def export_json(document: ModelDocument, *, diagnostics=(), assessments=()) -> str:
+def export_json(model, *, diagnostics=(), assessments=()) -> str:
     """Stable JSON tree for a resolved document.
 
-    Top-level keys are fixed; arrays follow declaration order; every element
-    record carries ``id``, ``name``, and ``kind``. References are emitted as
-    element ids, so the document must resolve; dangling references raise
+    ``model`` is a :class:`~esskit.validator.ResolvedModel` or a
+    :class:`ModelDocument`, which is resolved first. Top-level keys are
+    fixed; arrays follow declaration order; every element record carries
+    ``id``, ``name``, and ``kind``. References are emitted as element ids, so
+    the document must resolve; dangling references raise
     :class:`esskit.diagnostics.ResolveError` listing the offending ids.
     Diagnostics and assessments passed in are serialized under their own keys.
     """
-    import json
+    if isinstance(model, ModelDocument):
+        from .validator import resolve
 
-    from .validator import resolve
-
-    resolve(document)
+        document = resolve(model).document
+    else:
+        document = model.document
     tree = {
         "areas": [], "alphas": [], "competencies": [], "spaces": [],
         "work_products": [], "roles": [], "practices": [], "methods": [],
@@ -214,7 +237,65 @@ def export_json(document: ModelDocument, *, diagnostics=(), assessments=()) -> s
         })
     for phase in document.phases():
         tree["phases"].append(_phase_record(phase))
-    return json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    return _json(tree)
+
+
+def _json(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False) + "\\n"`` for a tree
+    of dicts with string keys, lists, tuples, strings, ints, booleans and
+    None.
+
+    Containers are walked with an explicit stack instead of two frames per
+    nesting level, and each value is one chunk that carries its separator,
+    indentation and key, as the standard encoder's chunks do. The final line
+    break is a chunk too, which spares a copy of the whole text.
+    """
+    from json.encoder import encode_basestring as quote
+
+    chunks: list[str] = []
+    append = chunks.append
+    # One frame per open container: (items, keyed, separator, closing); the
+    # root frame holds ``value`` alone.
+    stack = [(iter((value,)), False, "", "\n")]
+    lead = ""
+    while stack:
+        items, keyed, separator, closing = stack[-1]
+        item = next(items, _DONE)
+        if item is _DONE:
+            stack.pop()
+            append(closing)
+            if stack:
+                lead = stack[-1][2]
+            continue
+        if keyed:
+            key, item = item
+            lead += quote(key) + ": "
+        if isinstance(item, str):
+            append(lead + quote(item))
+        elif item is None:
+            append(lead + "null")
+        elif item is True:
+            append(lead + "true")
+        elif item is False:
+            append(lead + "false")
+        elif isinstance(item, int):
+            append(lead + int.__repr__(item))
+        elif isinstance(item, (dict, list, tuple)):
+            mapping = isinstance(item, dict)
+            if item:
+                indent = "\n" + "  " * len(stack)
+                stack.append((iter(item.items() if mapping else item), mapping,
+                              "," + indent, indent[:-2] + ("}" if mapping else "]")))
+                lead += ("{" if mapping else "[") + indent
+                continue
+            append(lead + ("{}" if mapping else "[]"))
+        else:
+            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+        lead = separator
+    return "".join(chunks)
+
+
+_DONE = object()
 
 
 def _area_id(area) -> str:

@@ -350,6 +350,31 @@ def test_map_accepts_specs_nested_as_deep_as_check(cli, tmp_path):
     assert out.count('space "X"') == depth
 
 
+def test_export_accepts_spaces_nested_as_deep_as_check(tmp_path):
+    # Cold processes, so that pytest's own stack does not count.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esskit
+
+    depth = 984
+    deep = tmp_path / "deep.ess"
+    deep.write_text(KERNEL_PRELUDE + 'practice "P" area Customer { goal "g" '
+                    + 'space "S" { ' * depth + 'activity "A" ' + "} " * depth + "}")
+    env = {**os.environ, "PYTHONPATH": str(Path(esskit.__file__).parent.parent)}
+    outputs = {}
+    for command in ("check", "export"):
+        child = subprocess.run(
+            [sys.executable, "-c", "from esskit.cli import main; main()", command,
+             "--max-depth", "5000", str(deep)], capture_output=True, text=True, env=env)
+        assert (child.returncode, child.stderr) == (0, ""), command
+        outputs[command] = child.stdout
+    # json.loads in this process would itself recurse too deeply.
+    assert outputs["export"].count('"kind": "space"') == depth
+    assert outputs["export"].count('"kind": "activity"') == 1
+
+
 def test_closed_stdout_exits_3_without_traceback(corpus_dir):
     import subprocess
     import sys

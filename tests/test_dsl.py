@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 
 from esskit import dsl, render, togaf, validator
 from esskit.diagnostics import ParseError
-from esskit.model import Activity, Area, ModelDocument, Practice, Role, WorkProductCategory
+from esskit.model import (
+    Activity,
+    ActivitySpec,
+    Area,
+    ModelDocument,
+    Practice,
+    Role,
+    Space,
+    StepSpec,
+    TogafPhase,
+    WorkProductCategory,
+)
 
 from conftest import generate_document
 
@@ -178,6 +189,24 @@ def test_render_refuses_an_activity_directly_in_a_practice():
         render.render_canonical(ModelDocument([practice]))
 
 
+def _phase(phase: str = "A", tags: tuple[str, ...] = ("builds",)) -> TogafPhase:
+    return TogafPhase(phase=phase, name="Vision", objective="o", steps=(
+        StepSpec(name="S", activities=(ActivitySpec(name="x", tags=tags),)),))
+
+
+@pytest.mark.parametrize("document, message", [
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S", members=(Activity(name="a", tags=("two words",)),)),))]),
+     "tag 'two words' is not representable as an identifier"),
+    (ModelDocument([_phase(tags=("sings",))]), "activity tag 'sings' is not one of"),
+    (ModelDocument([_phase(phase="Z")]), "phase id 'Z' is not one of"),
+], ids=["word", "tag", "phase"])
+def test_render_refuses_values_the_parser_rejects(document, message):
+    with pytest.raises(ValueError, match=message):
+        render.render_canonical(document)
+    assert dsl.parse(render.render_canonical(ModelDocument([_phase()])))
+
+
 def test_deep_nesting_is_a_parse_error():
     body = 'space "S" { ' * 3000 + "} " * 3000
     diagnostics = _diagnostics('practice "P" area Customer { goal "g" ' + body + "}")
@@ -307,7 +336,7 @@ _FRAGMENTS = ['"', '""', '"x"', "{", "}", "@", "\\", "#", "\n", " ", "_", "0", "
 _TOP_LEVEL = ("kernel", "practice", "method", "role", "togaf_phase")
 
 
-def _corpus_variants(count: int, seed: int):
+def _corpus_variants(count: int, seed: int, fragments=tuple(_FRAGMENTS)):
     """Seeded mutations and truncations of corpus windows of 1-60 lines,
     most of them starting at a top-level declaration."""
     rng = random.Random(seed)
@@ -324,7 +353,7 @@ def _corpus_variants(count: int, seed: int):
             continue
         for _ in range(rng.randint(1, 3)):
             at = rng.randrange(len(source) + 1)
-            source = source[:at] + rng.choice(_FRAGMENTS) + source[at + rng.randint(0, 6):]
+            source = source[:at] + rng.choice(fragments) + source[at + rng.randint(0, 6):]
         yield source
 
 
@@ -351,6 +380,41 @@ def test_parse_messages_on_corpus_variants_are_unchanged():
         for line in _outcome_lines(source):
             digest.update(line.encode("utf-8") + b"\n")
     assert digest.hexdigest() == _VARIANTS_SHA256
+
+
+# Fragments that reach every lexical outcome: escapes, carriage returns and
+# tabs, the form feed and vertical tab the lexer refuses, NUL, non-ASCII
+# characters and comments.
+_LEXICAL_FRAGMENTS = (*_FRAGMENTS, '\\"', '"\\', "\r", "\r\n", "\t", "\f", "\x0b",
+                      "\x00", "é", "\u2028", "# x", "12ab")
+
+
+def _lexical_lines(source: str):
+    try:
+        tokens = dsl.tokenize(source, "variant.ess")
+    except ParseError as failure:
+        for d in failure.diagnostics:
+            yield f"{d.rule}|{d.message}|{d.span}"
+    else:
+        for t in tokens:
+            yield repr((t.type, t.value, t.line, t.col, t.end_line, t.end_col))
+
+
+# sha256 of the token streams and lexical errors of the corpus and of 2,000
+# variants, taken from the lexer that matched at each position of the whole
+# source.
+_LEXER_SHA256 = "1eb14bb53b3131a07639cf754c9da772b809028722f788721e71adfaad9da61f"
+
+
+def test_token_streams_on_corpus_variants_are_unchanged():
+    sources = [text for name, text in sorted(togaf.corpus_files().items())
+               if name.endswith(".ess")]
+    sources += _corpus_variants(2000, seed=20261019, fragments=_LEXICAL_FRAGMENTS)
+    digest = hashlib.sha256()
+    for source in sources:
+        for line in _lexical_lines(source):
+            digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _LEXER_SHA256
 
 
 def _filled_clauses(documents):

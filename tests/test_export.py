@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esskit import dsl, progress, render
+from esskit import dsl, progress, render, validator
 from esskit.diagnostics import ResolveError
 from esskit.model import Alpha, AlphaState, Area
 
-from conftest import parse_with_kernel
+from conftest import generate_document, parse_with_kernel
 
 
 def test_minimal_kernel_export_shape():
@@ -87,3 +90,51 @@ def test_phase_records_keep_same_named_siblings_apart():
         ("S", [("D", [("x", [])])]),
         ("S", [("D", [])]),
     ]
+
+
+def test_export_takes_a_resolved_model_without_resolving_again(corpus, monkeypatch):
+    model = validator.resolve(corpus)
+    expected = render.export_json(corpus)
+
+    def refuse(document):
+        raise AssertionError("resolved twice")
+
+    monkeypatch.setattr(validator, "resolve", refuse)
+    assert render.export_json(model) == expected
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII characters
+# and lone surrogates, which the standard encoder passes through unescaped.
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff')))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(value=_JSON)
+def test_emitter_writes_what_the_standard_encoder_writes(value):
+    assert render._json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_emitter_writes_tuples_as_arrays():
+    value = {"pair": (1, ("x", ())), "empty": {}}
+    assert render._json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def _models(corpus):
+    # Generated documents need not resolve; the tree is built from the model
+    # as given.
+    rng = random.Random(20260809)
+    yield validator.resolve(corpus)
+    for _ in range(120):
+        yield validator.ResolvedModel(generate_document(rng))
+
+
+def test_export_is_the_standard_encoding_of_its_tree(corpus):
+    for model in _models(corpus):
+        out = render.export_json(model)
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
