@@ -32,13 +32,6 @@ class Area(Enum):
     def color(self) -> str:
         return _AREA_COLORS[self]
 
-    @classmethod
-    def from_name(cls, name: str) -> "Area":
-        try:
-            return cls(name)
-        except ValueError:
-            raise KeyError(name) from None
-
 
 _AREA_COLORS = {
     Area.CUSTOMER: "green",
@@ -403,35 +396,36 @@ Element = Union[
 ]
 
 
-def walk_element(element, owner_id: str | None = None
-                 ) -> Iterator[tuple[str, Element, str | None, int]]:
-    """Yield (id, element, parent id, depth) for an element and its contents.
+def walk_element(element) -> Iterator[tuple[str, Element, str | None, int]]:
+    """Yield (id, element, parent id, depth) for a declaration and its contents.
 
     The order is pre-order. Kernel members are document-level: their ids
     carry no kernel prefix, their parent id is None and their depth is 0.
     Everything owned by a practice, space, alpha, or phase is qualified by
     the owner's id, and its depth is the number of owners in that id, so a
     practice's top-level spaces are at depth 1. Phases are identified by
-    their letter, not their name.
+    their letter, not their name. The walk keeps its own stack, so nesting
+    depth costs no recursion.
     """
-    own_id = element_id(element, owner_id)
-    depth = own_id.count("/")
-    yield own_id, element, owner_id, depth
-    if isinstance(element, Kernel):
-        for member in element.members:
-            yield from walk_element(member, None)
-    elif isinstance(element, Alpha):
-        for state in element.states:
-            yield element_id(state, own_id), state, own_id, depth + 1
-    elif isinstance(element, (Space, Practice)):
-        if isinstance(element, Practice):
+    stack = [(element, None, 0)]
+    while stack:
+        element, owner_id, depth = stack.pop()
+        own_id = element_id(element, owner_id)
+        yield own_id, element, owner_id, depth
+        if isinstance(element, Kernel):
+            stack.extend((member, None, 0) for member in reversed(element.members))
+        elif isinstance(element, Alpha):
+            for state in element.states:
+                yield element_id(state, own_id), state, own_id, depth + 1
+        elif isinstance(element, (Space, Practice)):
+            if isinstance(element, Practice):
+                for wp in element.outputs:
+                    yield element_id(wp, own_id), wp, own_id, depth + 1
+            stack.extend((member, own_id, depth + 1)
+                         for member in reversed(element.members))
+        elif isinstance(element, TogafPhase):
             for wp in element.outputs:
                 yield element_id(wp, own_id), wp, own_id, depth + 1
-        for member in element.members:
-            yield from walk_element(member, own_id)
-    elif isinstance(element, TogafPhase):
-        for wp in element.outputs:
-            yield element_id(wp, own_id), wp, own_id, depth + 1
 
 
 def walk_specs(phase: TogafPhase

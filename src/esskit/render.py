@@ -18,17 +18,18 @@ from .model import (
     PHASE_IDS,
     Activity,
     Alpha,
+    AlphaState,
     AreaDecl,
     Competency,
+    Method,
     ModelDocument,
     Practice,
+    Role,
     Space,
     StepSpec,
     TogafPhase,
     WorkProduct,
     dotted_id,
-    element_id,
-    walk_element,
     walk_specs,
 )
 
@@ -171,6 +172,17 @@ def _render(lines: list[str], element, key: str, indent: str) -> None:
 # Machine-readable export ---------------------------------------------------
 
 
+# The top-level list of each document-level element, and the list of its
+# owner's record that each owned element joins.
+_TREE_LISTS = {
+    AreaDecl: "areas", Alpha: "alphas", Competency: "competencies", Space: "spaces",
+    WorkProduct: "work_products", Role: "roles", Practice: "practices",
+    Method: "methods", TogafPhase: "phases",
+}
+_OWNED_LISTS = {AlphaState: "states", WorkProduct: "outputs", Space: "spaces",
+                Activity: "activities"}
+
+
 def export_json(model, *, diagnostics=(), assessments=()) -> str:
     """Stable JSON tree for a resolved document.
 
@@ -188,55 +200,70 @@ def export_json(model, *, diagnostics=(), assessments=()) -> str:
         document = resolve(model).document
     else:
         document = model.document
-    tree = {
-        "areas": [], "alphas": [], "competencies": [], "spaces": [],
-        "work_products": [], "roles": [], "practices": [], "methods": [],
-        "phases": [],
-        "diagnostics": [d.to_record() for d in diagnostics],
-        "assessments": [a.to_record() for a in assessments],
-    }
-    for kernel in document.kernels():
-        for member in kernel.members:
-            if isinstance(member, AreaDecl):
-                tree["areas"].append({
-                    "id": element_id(member), "name": member.name, "kind": "area",
-                    "color": member.area.color,
-                })
-            elif isinstance(member, Alpha):
-                tree["alphas"].append(_alpha_record(member))
-            elif isinstance(member, Competency):
-                tree["competencies"].append({
-                    "id": element_id(member), "name": member.name,
-                    "kind": "competency", "area": _area_id(member.area),
-                    "max_level": member.max_level,
-                    "builtin": member.kernel_builtin,
-                })
-            elif isinstance(member, Space):
-                tree["spaces"].append({
-                    "id": element_id(member), "name": member.name, "kind": "space",
-                    "area": _area_id(member.area),
-                    "parent": dotted_id("space", member.parent) if member.parent else None,
-                    "goal": member.goal,
-                })
-            elif isinstance(member, WorkProduct):
-                tree["work_products"].append(
-                    _work_product_record(member, element_id(member)))
-    for role in document.roles():
-        tree["roles"].append({
-            "id": element_id(role), "name": role.name, "kind": "role",
-            "competencies": [_grade_record(g) for g in role.competencies],
-        })
-    for practice in document.practices():
-        tree["practices"].append(_practice_record(practice))
-    for method in document.methods():
-        tree["methods"].append({
-            "id": element_id(method), "name": method.name, "kind": "method",
-            "preamble": dotted_id("practice", method.preamble) if method.preamble else None,
-            "cycle": [dotted_id("practice", n) for n in method.cycle],
-            "concurrent": [dotted_id("practice", n) for n in method.concurrent],
-        })
-    for phase in document.phases():
-        tree["phases"].append(_phase_record(phase))
+    tree = {key: [] for key in _TREE_LISTS.values()}
+    tree["diagnostics"] = [d.to_record() for d in diagnostics]
+    tree["assessments"] = [a.to_record() for a in assessments]
+    # The walk is pre-order, so an element's owner is the latest record at
+    # its parent id, even when ids collide, and a practice's spaces and
+    # activities follow the practice.
+    records: dict[str, dict] = {}
+    for ident, element, parent_id, _ in document.walk():
+        cls = element.__class__
+        if parent_id is None:
+            siblings = tree.get(_TREE_LISTS.get(cls))
+        else:
+            siblings = records.get(parent_id, {}).get(_OWNED_LISTS.get(cls))
+        if siblings is None:
+            # A kernel, or the contents of a kernel space (possible only in a
+            # hand-built document), which the tree gives no members.
+            continue
+        record = {"id": ident, "name": element.name, "kind": element.kind}
+        siblings.append(record)
+        records[ident] = record
+        if cls is AreaDecl:
+            record["color"] = element.area.color
+        elif cls is Alpha:
+            record.update(area=_area_id(element.area), states=[])
+        elif cls is AlphaState:
+            record["checklist"] = [{"key": f"{len(siblings)}.{ci}", "text": text}
+                                   for ci, text in enumerate(element.checklist, 1)]
+        elif cls is Competency:
+            record.update(area=_area_id(element.area), max_level=element.max_level,
+                          builtin=element.kernel_builtin)
+        elif cls is WorkProduct:
+            record.update(category=element.category.value,
+                          description=element.description)
+        elif cls is Role:
+            record["competencies"] = [_grade_record(g) for g in element.competencies]
+        elif cls is Practice:
+            practice, wp_ref = element, _work_product_ref(element, ident)
+            record.update(area=_area_id(element.area), goals=list(element.goals),
+                          inputs=list(element.inputs), outputs=[], spaces=[],
+                          activities=[])
+        elif cls is Space and parent_id is None:
+            record.update(area=_area_id(element.area), parent=dotted_id(
+                "space", element.parent) if element.parent else None, goal=element.goal)
+        elif cls is Space:
+            record.update(area=_area_id(element.area or practice.area),
+                          goal=element.goal, spaces=[], activities=[])
+        elif cls is Activity:
+            record.update(
+                requires=[_grade_record(g) for g in element.requires],
+                produces=[{
+                    "work_product": wp_ref(c.work_product),
+                    "part": c.part,
+                    "rendered": c.rendered_name(),
+                } for c in element.produces],
+                role=dotted_id("role", element.role) if element.role else None,
+                tags=list(element.tags))
+        elif cls is Method:
+            record.update(
+                preamble=dotted_id("practice", element.preamble) if element.preamble else None,
+                cycle=[dotted_id("practice", n) for n in element.cycle],
+                concurrent=[dotted_id("practice", n) for n in element.concurrent])
+        elif cls is TogafPhase:
+            record.update(phase=element.phase, objective=element.objective,
+                          outputs=[], steps=_step_records(element, ident))
     return _json(tree)
 
 
@@ -307,33 +334,12 @@ def _grade_record(grade) -> dict:
             "level": grade.level}
 
 
-def _alpha_record(alpha: Alpha) -> dict:
-    own = element_id(alpha)
-    return {
-        "id": own, "name": alpha.name, "kind": "alpha",
-        "area": _area_id(alpha.area),
-        "states": [{
-            "id": element_id(s, own),
-            "name": s.name, "kind": "state",
-            "checklist": [{"key": f"{si}.{ci}", "text": text}
-                          for ci, text in enumerate(s.checklist, 1)],
-        } for si, s in enumerate(alpha.states, 1)],
-    }
-
-
-def _work_product_record(wp: WorkProduct, ident: str) -> dict:
-    return {
-        "id": ident, "name": wp.name, "kind": "workproduct",
-        "category": wp.category.value, "description": wp.description,
-    }
-
-
-def _work_product_ref(practice: Practice):
+def _work_product_ref(practice: Practice, own: str):
     """Map a work-product name used by the practice's activities to its id.
 
-    Practice outputs shadow kernel-level work products of the same name.
+    ``own`` is the practice's id. Practice outputs shadow kernel-level work
+    products of the same name.
     """
-    own = element_id(practice)
     local = {wp.name for wp in practice.outputs}
 
     def ref(name: str) -> str:
@@ -344,69 +350,28 @@ def _work_product_ref(practice: Practice):
     return ref
 
 
-def _practice_record(practice: Practice) -> dict:
-    own = element_id(practice)
-    wp_ref = _work_product_ref(practice)
-    records = {own: {
-        "id": own, "name": practice.name, "kind": "practice",
-        "area": _area_id(practice.area),
-        "goals": list(practice.goals),
-        "inputs": list(practice.inputs),
-        "outputs": [], "spaces": [], "activities": [],
-    }}
-    for ident, element, parent_id, _ in walk_element(practice):
-        if isinstance(element, WorkProduct):
-            records[parent_id]["outputs"].append(_work_product_record(element, ident))
-        elif isinstance(element, Space):
-            records[ident] = {
-                "id": ident, "name": element.name, "kind": "space",
-                "area": _area_id(element.area or practice.area),
-                "goal": element.goal, "spaces": [], "activities": [],
-            }
-            records[parent_id]["spaces"].append(records[ident])
-        elif isinstance(element, Activity):
-            records[parent_id]["activities"].append({
-                "id": ident, "name": element.name, "kind": "activity",
-                "requires": [_grade_record(g) for g in element.requires],
-                "produces": [{
-                    "work_product": wp_ref(c.work_product),
-                    "part": c.part,
-                    "rendered": c.rendered_name(),
-                } for c in element.produces],
-                "role": dotted_id("role", element.role) if element.role else None,
-                "tags": list(element.tags),
-            })
-    return records[own]
-
-
-def _phase_record(phase: TogafPhase) -> dict:
-    own = element_id(phase)
-    records = {own: {
-        "id": own, "name": phase.name, "kind": "phase", "phase": phase.phase,
-        "objective": phase.objective,
-        "outputs": [_work_product_record(wp, element_id(wp, own))
-                    for wp in phase.outputs],
-        "steps": [],
-    }}
+def _step_records(phase: TogafPhase, own: str) -> list[dict]:
+    """The records of the steps of ``phase``, whose id is ``own``."""
     # Pre-order: a spec's parent is the latest record at the parent path,
-    # even when sibling specs share a name.
+    # even when sibling specs share a name. The phase's own entry collects
+    # the steps under the key every spec record uses for its children.
+    records: dict[str, dict] = {own: {"activities": []}}
     for path, spec, _, parent_path in walk_specs(phase):
         if isinstance(spec, StepSpec):
             records[path] = {"name": spec.name, "goal": spec.goal, "activities": []}
-            records[parent_path]["steps"].append(records[path])
-            continue
-        records[path] = {
-            "name": spec.name,
-            "tags": list(spec.tags),
-            "feeds": [{
-                "output": f"{own}/{dotted_id('workproduct', c.work_product)}",
-                "part": c.part,
-            } for c in spec.feeds],
-            "role": dotted_id("role", spec.role) if spec.role else None,
-            "activities": [],
-        }
+        else:
+            records[path] = {
+                "name": spec.name,
+                "tags": list(spec.tags),
+                "feeds": [{
+                    "output": f"{own}/{dotted_id('workproduct', c.work_product)}",
+                    "part": c.part,
+                } for c in spec.feeds],
+                "role": dotted_id("role", spec.role) if spec.role else None,
+                "activities": [],
+            }
         records[parent_path]["activities"].append(records[path])
-    return records[own]
+    return records[own]["activities"]
 
 
 # DOT export -----------------------------------------------------------------
@@ -436,21 +401,27 @@ def export_dot(document: ModelDocument) -> str:
         attrs = f' [label="{_dot_escape(label)}"]' if label else ""
         edges.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}"{attrs};')
 
-    for practice in document.practices():
-        wp_ref = _work_product_ref(practice)
-        for ident, element, parent_id, _ in walk_element(practice):
-            if isinstance(element, Practice):
+    # A practice's contents follow it in the walk, up to the next entry at
+    # depth 0.
+    practice = None
+    for ident, element, parent_id, depth in document.walk():
+        if depth == 0:
+            practice = element if isinstance(element, Practice) else None
+            if practice is not None:
+                wp_ref = _work_product_ref(practice, ident)
                 node(ident, element.name, "component")
-            elif isinstance(element, WorkProduct):
-                node(ident, element.name, "note")
-            elif isinstance(element, Space):
-                node(ident, element.name, "folder")
-                edge(parent_id, ident)
-            else:
-                node(ident, element.name)
-                edge(parent_id, ident)
-                for contribution in element.produces:
-                    edge(ident, wp_ref(contribution.work_product), contribution.part)
+        elif practice is None:
+            continue
+        elif isinstance(element, WorkProduct):
+            node(ident, element.name, "note")
+        elif isinstance(element, Space):
+            node(ident, element.name, "folder")
+            edge(parent_id, ident)
+        else:
+            node(ident, element.name)
+            edge(parent_id, ident)
+            for contribution in element.produces:
+                edge(ident, wp_ref(contribution.work_product), contribution.part)
 
     lines.extend(edges)
     lines.append("}")

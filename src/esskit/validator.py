@@ -78,7 +78,6 @@ class ResolvedModel:
 
     def __init__(self, document: ModelDocument) -> None:
         self.document = document
-        self.areas = {d.name: d for k in document.kernels() for d in k.areas()}
         self.alphas = {a.name: a for k in document.kernels() for a in k.alphas()}
         self.competencies = {c.name: c for k in document.kernels()
                              for c in k.competencies()}
@@ -88,8 +87,6 @@ class ResolvedModel:
                                      for w in k.work_products()}
         self.roles = {r.name: r for r in document.roles()}
         self.practices = {p.name: p for p in document.practices()}
-        self.methods = {m.name: m for m in document.methods()}
-        self.phases = {p.phase: p for p in document.phases()}
         self.competency_order = {name: i for i, name
                                  in enumerate(self.competencies)}
 
@@ -283,29 +280,28 @@ def _level_bound(model: ResolvedModel, competency: str) -> int:
 def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
                                 report) -> None:
     spaces = model.kernel_spaces
+    # A space's depth counts the spaces on its chain of parents that lie on
+    # no cycle, itself included; a space on a cycle gets 0. Each space is on
+    # one trail and gets its depth once, without recursion.
     depths: dict[str, int] = {}
-    in_cycle: set[str] = set()
-
-    def depth_of(name: str, trail: tuple[str, ...]) -> int:
-        if name in depths:
-            return depths[name]
-        if name in trail:
-            for member in trail[trail.index(name):]:
-                in_cycle.add(member)
-            return 0
-        space = spaces[name]
-        if space.parent is None or space.parent not in spaces:
-            depths[name] = 1
-            return 1
-        parent_depth = depth_of(space.parent, trail + (name,))
-        if name in in_cycle:
-            return 0
-        depths[name] = parent_depth + 1
-        return depths[name]
+    for name in spaces:
+        trail: dict[str, int] = {}
+        node = name
+        while node in spaces and node not in depths and node not in trail:
+            trail[node] = len(trail)
+            node = spaces[node].parent
+        chain = list(trail)
+        if node in trail:
+            depths.update(dict.fromkeys(chain[trail[node]:], 0))
+            del chain[trail[node]:]
+        depth = depths.get(node, 0)
+        for member in reversed(chain):
+            depth += 1
+            depths[member] = depth
 
     for name, space in spaces.items():
-        depth = depth_of(name, ())
-        if name in in_cycle:
+        depth = depths[name]
+        if depth == 0:
             report(NESTING_CYCLE, Severity.ERROR, element_id(space),
                    f"space {name!r} participates in a nesting cycle", space.span)
         elif depth > config.max_nesting_depth:

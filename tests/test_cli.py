@@ -91,6 +91,18 @@ def test_check_max_depth_flag(cli, tmp_path):
     assert code == 0 and "V011" not in out
 
 
+def test_check_reports_a_long_flat_kernel_space_chain(cli, tmp_path):
+    count = 2000
+    chain = tmp_path / "chain.ess"
+    chain.write_text('kernel "K" {\n' + "".join(
+        f'  space "S{n}" area Customer in "S{n - 1}"\n' for n in range(count - 1, 0, -1)
+    ) + '  space "S0" area Customer\n}\n')
+    code, out, err = cli("check", str(chain))
+    assert (code, err) == (1, "")
+    assert out.count("V011 error space.s") == count - 3
+    assert out.endswith(f"{count - 3} errors, 0 warnings\n")
+
+
 def test_lint_corpus_matches_manifest(cli, corpus_dir, manifest):
     code, out, err = cli("lint", *_corpus_args(corpus_dir))
     assert code == 0

@@ -4,8 +4,9 @@ Every name a module in ``src/esskit`` imports must be referenced somewhere
 in that module; the package ``__init__`` re-exports its imports and is
 exempt. Every module-private name the package defines (a top-level
 ``_function``, ``_Class`` or ``_CONSTANT``, or a class's ``_method``) must be
-referenced somewhere in the package outside its own definition. The CLI
-module loads only what every command needs.
+referenced somewhere in the package outside its own definition. No function
+calls itself except the two grammar walkers, which spend one frame per
+nesting level by design. The CLI module loads only what every command needs.
 """
 
 from __future__ import annotations
@@ -103,6 +104,55 @@ def test_scan_flags_an_unused_private_name():
     }
     assert _unused_private_names(sources) == [
         "a.py:2: _SPARE", "a.py:5: _recursive", "a.py:8: _peek"]
+
+
+def _self_calls(source: str) -> list[str]:
+    """Qualified names of the functions that call their own name or
+    ``self.<their name>``, in source order."""
+    found = []
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                stack.append((child, prefix))
+                continue
+            name = prefix + child.name
+            stack.append((child, name + "."))
+            if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and _names(call.func, child.name)
+                    for call in ast.walk(child)):
+                found.append((child.lineno, name))
+    return [name for _, name in sorted(found)]
+
+
+def _names(func: ast.expr, name: str) -> bool:
+    if isinstance(func, ast.Attribute):
+        return (func.attr == name and isinstance(func.value, ast.Name)
+                and func.value.id == "self")
+    return isinstance(func, ast.Name) and func.id == name
+
+
+# The parser and the canonical renderer follow the grammar's own nesting.
+_GRAMMAR_WALKERS = ["dsl.py: _Parser._block", "render.py: _render"]
+
+
+def test_no_function_recurses_outside_the_grammar_walkers():
+    found = [f"{path.name}: {name}" for path in MODULES
+             for name in _self_calls(path.read_text(encoding="utf-8"))]
+    assert found == _GRAMMAR_WALKERS
+
+
+def test_scan_flags_a_function_that_calls_itself():
+    source = (PACKAGE / "model.py").read_text(encoding="utf-8")
+    mutated = source.replace("            stack.extend(reversed(member.members))",
+                             "            yield from _activities_under(member.members)")
+    assert mutated != source
+    assert _self_calls(mutated) == ["_activities_under"]
+    assert _self_calls("def f(n):\n    return g(n) + other.f(n)\n"
+                       "class C:\n    def m(self):\n        return self.m()\n"
+                       "def outer():\n    def inner():\n        inner()\n") == [
+        "C.m", "outer.inner"]
 
 
 def test_cli_import_loads_no_command_specific_module():

@@ -352,3 +352,18 @@ def test_activity_iterators_keep_source_order_without_recursion():
     expected = [f"a{level}" for level in range(depth - 1, 0, -1)] + ["deepest"]
     assert [a.name for a in inner.subtree_activities()] == expected
     assert [a.name for a in practice.all_activities()] == expected + ["z"]
+
+
+def test_walk_of_deep_nesting_carries_ids_parents_and_depths():
+    depth = 3000
+    inner = Space(name="S", members=(Activity(name="A"),))
+    for _ in range(depth - 1):
+        inner = Space(name="S", members=(inner,))
+    walk = ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                                   members=(inner,))]).walk()
+    assert [entry[2:] for entry in walk[:2]] == [(None, 0), ("practice.p", 1)]
+    assert [entry[3] for entry in walk] == list(range(depth + 2))
+    for (parent_id, *_), (ident, element, owner_id, _) in zip(walk, walk[1:]):
+        assert owner_id == parent_id
+        assert ident == f"{parent_id}/{element.kind}.{element.name.lower()}"
+    assert walk[-1][1].kind == "activity"

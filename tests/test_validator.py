@@ -329,3 +329,16 @@ def test_diagnostic_paths_resolve(corpus):
 def test_area_profile_defaults_all_areas():
     profile = AreaProfile()
     assert profile.counts == {a: 0 for a in Area}
+
+
+def test_kernel_space_chain_declared_child_first_needs_no_recursion():
+    count = 2000
+    source = 'kernel "K2" {\n' + "".join(
+        f'  space "S{n}" area Customer in "S{n - 1}"\n' for n in range(count - 1, 0, -1)
+    ) + '  space "S0" area Customer\n}'
+    _, diagnostics = _check(source)
+    assert _rules(diagnostics) == ["V011"] * (count - 3)
+    assert diagnostics[0].message == ("space nested at depth 2000 exceeds the "
+                                      "maximum of 3")
+    _, relaxed = _check(source, CheckConfig(max_nesting_depth=10**6))
+    assert relaxed == []
