@@ -107,11 +107,16 @@ class Token(Record):
     end_col: int
 
     def describe(self) -> str:
-        if self.type == "EOF":
-            return "end of input"
-        if self.type == "STRING":
-            return f'string "{self.value}"'
-        return repr(str(self.value))
+        return _describe((self.type, self.value))
+
+
+def _describe(token: tuple) -> str:
+    """What a syntax error says it found: ``token`` starts ``(type, value)``."""
+    if token[0] == "EOF":
+        return "end of input"
+    if token[0] == "STRING":
+        return f'string "{token[1]}"'
+    return repr(str(token[1]))
 
 
 class _SyntaxFailure(Exception):
@@ -131,11 +136,21 @@ def _diagnostic(file: str, line: int, col: int, message: str, *,
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Token stream for ``source``; lexical errors raise :class:`ParseError`.
 
+    Library users get :class:`Token` records; the parser reads the same
+    tokens as the plain tuples of :func:`_lex`.
+    """
+    return [Token(*token) for token in _lex(source, file)]
+
+
+def _lex(source: str, file: str) -> list[tuple]:
+    """:func:`tokenize` as plain tuples of the :class:`Token` fields, which the
+    parser reads by index: ``token[0]`` is the type, ``token[1]`` the value.
+
     Strings cannot hold a line break, so no token spans one and the source
     is searched one line at a time. Equal words and strings share one value
     object, which keeps the token list of a large file small.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
     append = tokens.append
     values: dict[str, str] = {}
     number, start = 0, 0
@@ -167,13 +182,13 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
                 else:
                     message = "unterminated string"
                 raise ParseError([_diagnostic(file, number, col, message)])
-            append(Token(kind, value, number, match.start() - start + 1,
-                         number, match.end() - start))
+            append((kind, value, number, match.start() - start + 1,
+                    number, match.end() - start))
         if stop < 0:
             break
         start = stop + 1
     col = len(source) - start + 1
-    append(Token("EOF", "", number, col, number, col))
+    append(("EOF", "", number, col, number, col))
     return tokens
 
 
@@ -289,7 +304,7 @@ _AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str) -> None:
+    def __init__(self, tokens: list[tuple], file: str) -> None:
         self.tokens = tokens
         self.file = file
         self.pos = 0
@@ -299,35 +314,33 @@ class _Parser:
     # Cursor helpers ------------------------------------------------------
 
     @property
-    def current(self) -> Token:
+    def current(self) -> tuple:
         return self.tokens[self.pos]
 
-    def _advance(self) -> Token:
+    def _advance(self) -> tuple:
         token = self.tokens[self.pos]
-        if token.type != "EOF":
+        if token[0] != "EOF":
             self.pos += 1
         self.last = token
         return token
 
     def _fail(self, message: str, *, hint: str | None = None,
-              token: Token | None = None) -> _SyntaxFailure:
-        token = token or self.current
-        return _SyntaxFailure(_diagnostic(
-            self.file, token.line, token.col, message, hint=hint,
-            end_line=token.end_line, end_col=token.end_col))
+              token: tuple | None = None) -> _SyntaxFailure:
+        _, _, line, col, end_line, end_col = token or self.current
+        return _SyntaxFailure(_diagnostic(self.file, line, col, message, hint=hint,
+                                          end_line=end_line, end_col=end_col))
 
-    def _expect(self, token_type: str, hint: str | None = None) -> Token:
-        if self.current.type != token_type:
+    def _expect(self, token_type: str, hint: str | None = None) -> tuple:
+        if self.current[0] != token_type:
             names = {"IDENT": "an identifier", "STRING": "a string",
                      "INT": "an integer", "LBRACE": "'{'", "RBRACE": "'}'",
                      "AT": "'@'"}
-            raise self._fail(f"found {self.current.describe()}",
+            raise self._fail(f"found {_describe(self.current)}",
                              hint=hint or names.get(token_type, token_type))
         return self._advance()
 
-    def _span_from(self, start: Token) -> SourceSpan:
-        return SourceSpan(self.file, start.line, start.col,
-                          self.last.end_line, self.last.end_col)
+    def _span_from(self, start: tuple) -> SourceSpan:
+        return SourceSpan(self.file, start[2], start[3], self.last[4], self.last[5])
 
     # Value readers, each ``(parser, values)`` where ``values`` holds the
     # fields of the block read so far ------------------------------------
@@ -338,7 +351,7 @@ class _Parser:
         A name must yield an id, so one with no usable characters is an error.
         """
         token = self._expect(token_type)
-        name = str(token.value) if token_type == "STRING" else _decode(str(token.value))
+        name = str(token[1]) if token_type == "STRING" else _decode(str(token[1]))
         try:
             slug(name)
         except ValueError:
@@ -349,54 +362,61 @@ class _Parser:
     def _choice(self, values, hint: str, what: str, choices: dict):
         """An IDENT naming one of ``choices``, which map its text to its value."""
         token = self._expect("IDENT", hint=hint)
-        if token.value not in choices:
-            raise self._fail(f"unknown {what} {token.value!r}",
+        if token[1] not in choices:
+            raise self._fail(f"unknown {what} {token[1]!r}",
                              hint="one of " + ", ".join(choices), token=token)
-        return choices[token.value]
+        return choices[token[1]]
 
     def _color(self, values) -> Area:
         """The color of the area just read, which it must match."""
         area = values["area"]
         token = self._expect("IDENT", hint="a color name")
-        if token.value != area.color:
-            raise self._fail(f"area {area.value} must be {area.color}, not {token.value!r}",
+        if token[1] != area.color:
+            raise self._fail(f"area {area.value} must be {area.color}, not {token[1]!r}",
                              token=token)
         return area
 
     def _grade(self, values) -> CompetencyGrade:
-        competency = _decode(str(self._expect("IDENT").value))
+        competency = _decode(str(self._expect("IDENT")[1]))
         self._expect("AT")
-        return CompetencyGrade(competency=competency, level=self._expect("INT").value)
+        return CompetencyGrade(competency=competency, level=self._expect("INT")[1])
 
     # Blocks --------------------------------------------------------------
 
     def parse_document(self) -> list:
         declarations = []
-        while self.current.type != "EOF":
-            token = self.current
-            key = _TOP.get(token.value) if token.type == "IDENT" else None
+        while self.current[0] != "EOF":
+            token, start = self.current, self.pos
+            key = _TOP.get(token[1]) if token[0] == "IDENT" else None
             try:
                 if key is None:
-                    raise self._fail(f"found {token.describe()} at top level",
+                    raise self._fail(f"found {_describe(token)} at top level",
                                      hint=_TOP_HINT)
                 declarations.append(self._block(key))
             except _SyntaxFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
-                self._recover()
+                self._recover(start)
         return declarations
 
-    def _recover(self) -> None:
-        """Skip to the next plausible top-level declaration keyword."""
-        depth = 0
-        while self.current.type != "EOF":
-            token = self.current
-            if token.type == "LBRACE":
-                depth += 1
-            elif token.type == "RBRACE":
-                depth = max(0, depth - 1)
-            elif depth == 0 and token.type == "IDENT" and token.value in _TOP:
+    def _recover(self, start: int) -> None:
+        """Skip to the next top-level keyword outside the braces opened since
+        ``start``, the failed declaration's first token, so that a nested
+        ``role`` is skipped; if they never close, to the next one outside the
+        braces opened since the failure, so an unclosed ``{`` hides nothing."""
+        failed = self.pos
+        for begin in (start, failed):
+            self.pos, depth = begin, 0
+            while self.current[0] != "EOF":
+                kind, value = self.current[:2]
+                if kind == "LBRACE":
+                    depth += 1
+                elif kind == "RBRACE":
+                    depth = max(0, depth - 1)
+                elif depth == 0 and kind == "IDENT" and value in _TOP and self.pos > start:
+                    return
+                self._advance()
+            if depth == 0:
                 return
-            self._advance()
 
     def _block(self, key: str):
         """The element of block ``key`` of :data:`GRAMMAR`, whose keyword is
@@ -412,8 +432,8 @@ class _Parser:
         for op, field, need, arg in steps:
             token = tokens[self.pos]
             if op is _RUN:
-                while token.type == "IDENT" and token.value in arg:
-                    target, read, child = arg[token.value]
+                while token[0] == "IDENT" and token[1] in arg:
+                    target, read, child = arg[token[1]]
                     if child is None:
                         self.pos += 1
                         self.last = token
@@ -432,20 +452,20 @@ class _Parser:
                         message=message, span=self._span_from(start), hint=hint))
             elif op is _VALUE or op is _OPTIONAL:
                 if need is not None:
-                    if token.type != "IDENT" or token.value != need:
+                    if token[0] != "IDENT" or token[1] != need:
                         if op is _OPTIONAL:
                             continue
-                        raise self._fail(f"found {token.describe()}", hint=f"'{need}'")
+                        raise self._fail(f"found {_describe(token)}", hint=f"'{need}'")
                     self.pos += 1
                     self.last = token
                 values[field] = arg(self, values)
             elif op is _OPEN:
-                if token.type != "LBRACE" and arg:
+                if token[0] != "LBRACE" and arg:
                     break
                 self._expect("LBRACE")
             else:
-                if token.type != "RBRACE" and arg:
-                    raise self._fail(f"found {token.describe()} in kernel body", hint=arg)
+                if token[0] != "RBRACE" and arg:
+                    raise self._fail(f"found {_describe(token)} in kernel body", hint=arg)
                 self._expect("RBRACE")
         for field in lists:
             values[field] = tuple(values[field])
@@ -471,11 +491,11 @@ class _Parser:
 _VALUE, _OPTIONAL, _RUN, _OPEN, _CLOSE = "value", "optional", "run", "open", "close"
 
 _READERS = {
-    "string": lambda parser, values: parser._expect("STRING").value,
-    "int": lambda parser, values: parser._expect("INT").value,
-    "word": lambda parser, values: parser._expect("IDENT").value,
+    "string": lambda parser, values: parser._expect("STRING")[1],
+    "int": lambda parser, values: parser._expect("INT")[1],
+    "word": lambda parser, values: parser._expect("IDENT")[1],
     "contribution": lambda parser, values: Contribution.from_text(
-        parser._expect("STRING").value),
+        parser._expect("STRING")[1]),
     "color": _Parser._color,
     "grade": _Parser._grade,
     "area": partial(_Parser._choice, hint="an area name (Customer, Solution, Endeavor)",
@@ -544,8 +564,7 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
     Blocks nested deeper than the interpreter's recursion limit allows are a
     syntax error at the token the parser had reached.
     """
-    tokens = tokenize(source, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(_lex(source, file), file)
     try:
         declarations = parser.parse_document()
         document = ModelDocument(declarations)
