@@ -386,7 +386,7 @@ class _Parser:
     def parse_document(self) -> list:
         declarations = []
         while self.current[0] != "EOF":
-            token, start = self.current, self.pos
+            token = self.current
             key = _TOP.get(token[1]) if token[0] == "IDENT" else None
             try:
                 if key is None:
@@ -395,28 +395,21 @@ class _Parser:
                 declarations.append(self._block(key))
             except _SyntaxFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
-                self._recover(start)
+                self._recover()
         return declarations
 
-    def _recover(self, start: int) -> None:
-        """Skip to the next top-level keyword outside the braces opened since
-        ``start``, the failed declaration's first token, so that a nested
-        ``role`` is skipped; if they never close, to the next one outside the
-        braces opened since the failure, so an unclosed ``{`` hides nothing."""
-        failed = self.pos
-        for begin in (start, failed):
-            self.pos, depth = begin, 0
-            while self.current[0] != "EOF":
-                kind, value = self.current[:2]
-                if kind == "LBRACE":
-                    depth += 1
-                elif kind == "RBRACE":
-                    depth = max(0, depth - 1)
-                elif depth == 0 and kind == "IDENT" and value in _TOP and self.pos > start:
-                    return
-                self._advance()
-            if depth == 0:
+    def _recover(self) -> None:
+        """Skip to the next plausible top-level declaration keyword."""
+        depth = 0
+        while self.current[0] != "EOF":
+            kind, value = self.current[:2]
+            if kind == "LBRACE":
+                depth += 1
+            elif kind == "RBRACE":
+                depth = max(0, depth - 1)
+            elif depth == 0 and kind == "IDENT" and value in _TOP:
                 return
+            self._advance()
 
     def _block(self, key: str):
         """The element of block ``key`` of :data:`GRAMMAR`, whose keyword is

