@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # command imports only what it runs.
 _EXPORTS = {
     "diagnostics": ("Diagnostic", "ParseError", "ResolveError", "Severity", "SourceSpan"),
-    "dsl": ("parse", "parse_file"),
+    "dsl": ("parse",),
     "lint": ("LINT_RULES", "LintRule", "UnknownRuleError", "run_lints"),
     "model": (
         "ACTIVITY_TAGS", "KERNEL_COMPETENCIES", "PHASE_IDS", "Activity", "ActivitySpec",

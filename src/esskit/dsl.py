@@ -86,16 +86,17 @@ _TOKEN_PATTERNS = {
     "open": r'" [^"\\\n]* (?: \\" [^"\\\n]* )*',
     "INT": r"[0-9]+",
     "IDENT": r"[A-Za-z_] [A-Za-z0-9_]*",
-    "LBRACE": r"\{",
-    "RBRACE": r"\}",
-    "AT": r"@",
 }
-# Searched over one line at a time, so the blanks between matches are skipped
-# and a comment runs to the end of the line; ``bad`` is any other character.
-_LINE = re.compile("|".join([*(f"(?P<{kind}> {pattern})"
-                               for kind, pattern in _TOKEN_PATTERNS.items()),
-                             r"(?P<comment> \# .*)", r"(?P<bad> [^ \t\r\n])"]), re.VERBOSE)
-_MARKS = frozenset(("LBRACE", "RBRACE", "AT"))
+# One scan: the blanks before a token, then the token. Exactly one of the
+# token groups is set; ``comment`` runs to the end of its line and ``bad`` is
+# any other character. Blanks at the very end of the source match nothing.
+_SCAN = re.compile(r"""([ \t\r]*) (?: ({STRING}) | ({INT}) | ({IDENT}) | ([{{}}@])
+                     | (\# [^\n]*) | (\n) | ({open}) | ([^ \t\r\n]) )""".format(
+    **_TOKEN_PATTERNS), re.VERBOSE).findall
+_MARKS = {"{": "LBRACE", "}": "RBRACE", "@": "AT"}
+# Characters per scan: a slice ends just after the first line break past
+# this many, which bounds the memory of one scan's match list.
+_SLICE = 4096
 
 
 class Token(Record):
@@ -105,9 +106,6 @@ class Token(Record):
     col: int
     end_line: int
     end_col: int
-
-    def describe(self) -> str:
-        return _describe((self.type, self.value))
 
 
 def _describe(token: tuple) -> str:
@@ -146,49 +144,56 @@ def _lex(source: str, file: str) -> list[tuple]:
     """:func:`tokenize` as plain tuples of the :class:`Token` fields, which the
     parser reads by index: ``token[0]`` is the type, ``token[1]`` the value.
 
-    Strings cannot hold a line break, so no token spans one and the source
-    is searched one line at a time. Equal words and strings share one value
-    object, which keeps the token list of a large file small.
+    Strings cannot hold a line break, so no token spans one, and the source
+    is scanned in slices that each end just after a line break. Offsets,
+    lines and columns are sums of the matched lengths. Equal words and
+    strings share one value object, which keeps the token list of a large
+    file small.
     """
     tokens: list[tuple] = []
     append = tokens.append
     values: dict[str, str] = {}
-    number, start = 0, 0
-    while True:
-        number += 1
-        stop = source.find("\n", start)
-        end = len(source) if stop < 0 else stop
-        for match in _LINE.finditer(source, start, end):
-            kind = match.lastgroup
-            if kind == "IDENT":
-                value = match.group()
-                value = values.setdefault(value, value)
-            elif kind in _MARKS:
-                value = match.group()
-            elif kind == "STRING":
-                value = match.group()[1:-1].replace('\\"', '"')
-                value = values.setdefault(value, value)
-            elif kind == "INT":
-                value = int(match.group())
-            elif kind == "comment":
-                continue
+    size = len(source)
+    line, line_start, pos = 1, 0, 0
+    while pos < size:
+        stop = source.find("\n", pos + _SLICE) + 1 or size
+        for blank, string, number, word, mark, comment, newline, opened, bad \
+                in _SCAN(source, pos, stop):
+            pos += len(blank)
+            col = pos - line_start
+            if word:
+                pos += len(word)
+                append(("IDENT", values.setdefault(word, word), line, col + 1,
+                        line, pos - line_start))
+            elif newline:
+                pos += 1
+                line += 1
+                line_start = pos
+            elif mark:
+                pos += 1
+                append((_MARKS[mark], mark, line, col + 1, line, col + 1))
+            elif string:
+                pos += len(string)
+                value = string[1:-1].replace('\\"', '"')
+                append(("STRING", values.setdefault(value, value), line, col + 1,
+                        line, pos - line_start))
+            elif number:
+                pos += len(number)
+                append(("INT", int(number), line, col + 1, line, pos - line_start))
+            elif comment:
+                pos += len(comment)
             else:
-                col = match.start() - start + 1
-                if kind == "bad":
-                    message = f"unexpected character {match.group()!r}"
-                elif source.startswith("\\", match.end()):
-                    col = match.end() - start + 1
+                if bad:
+                    message = f"unexpected character {bad!r}"
+                elif source.startswith("\\", pos + len(opened)):
+                    col += len(opened)
                     message = "invalid escape sequence; only \\\" is supported"
                 else:
                     message = "unterminated string"
-                raise ParseError([_diagnostic(file, number, col, message)])
-            append((kind, value, number, match.start() - start + 1,
-                    number, match.end() - start))
-        if stop < 0:
-            break
-        start = stop + 1
-    col = len(source) - start + 1
-    append(("EOF", "", number, col, number, col))
+                raise ParseError([_diagnostic(file, line, col + 1, message)])
+        pos = stop  # also past blanks at the end of the source, which match nothing
+    col = size - line_start + 1
+    append(("EOF", "", line, col, line, col))
     return tokens
 
 
@@ -574,11 +579,3 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
     if diagnostics:
         raise ParseError(ordered(diagnostics))
     return document
-
-
-def parse_file(path, file: str | None = None) -> ModelDocument:
-    """Parse one ``.ess`` file from disk; I/O errors propagate as OSError."""
-    from pathlib import Path
-
-    p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), file or str(p))

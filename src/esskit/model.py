@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from typing import ClassVar, Iterator, Union
 
 from .diagnostics import Record, SourceSpan
@@ -76,11 +77,14 @@ PHASE_IDS = ("P", "A", "B", "C", "D", "E", "F", "G", "H", "RM")
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
+# Parse-time name checks, every document walk and the exporters slug the
+# same names; one operation uses a few hundred distinct ones.
+@lru_cache(maxsize=1024)
 def slug(name: str) -> str:
     """Lowercase identifier fragment for a display name.
 
     Runs of non-alphanumerics collapse to a single underscore; a name that
-    yields nothing (e.g. pure punctuation) is rejected.
+    yields nothing (e.g. pure punctuation) is rejected, on every call.
     """
     out = _SLUG_RE.sub("_", name.lower()).strip("_")
     if not out:
@@ -220,16 +224,6 @@ class Space(Record, hidden=("span",)):
     members: tuple[Union["Space", Activity], ...] = ()
     span: SourceSpan | None = None
 
-    def child_spaces(self) -> tuple["Space", ...]:
-        return tuple(m for m in self.members if isinstance(m, Space))
-
-    def activities(self) -> tuple[Activity, ...]:
-        return tuple(m for m in self.members if isinstance(m, Activity))
-
-    def subtree_activities(self) -> Iterator[Activity]:
-        """Every activity below the space, in source order."""
-        return _activities_under(self.members)
-
 
 class Practice(Record, hidden=("span",)):
     """A goal-bearing, repeatable way of doing work.
@@ -337,16 +331,6 @@ class StepSpec(Record, hidden=("span",)):
     goal: str | None = None
     activities: tuple[ActivitySpec, ...] = ()
     span: SourceSpan | None = None
-
-    def spec_count(self) -> int:
-        """Total activity specifications in the step, parents included."""
-        count = 0
-        stack = list(self.activities)
-        while stack:
-            spec = stack.pop()
-            count += 1
-            stack.extend(spec.sub_activities)
-        return count
 
 
 class TogafPhase(Record, hidden=("span",)):
@@ -466,12 +450,17 @@ class ModelDocument:
     """
 
     def __init__(self, declarations=()):
-        self.declarations: tuple[Declaration, ...] = tuple(declarations)
-        self._walk = tuple(entry for declaration in self.declarations
-                           for entry in walk_element(declaration))
+        declarations = tuple(declarations)
+        self._fill(declarations, tuple(entry for declaration in declarations
+                                       for entry in walk_element(declaration)))
+
+    def _fill(self, declarations: tuple, walk: tuple) -> None:
+        """Set the declarations, their walk, and the id index built from it."""
+        self.declarations: tuple[Declaration, ...] = declarations
+        self._walk = walk
         index: dict[str, Element] = {}
         collisions: list[tuple[str, Element, Element]] = []
-        for ident, element, _, _ in self._walk:
+        for ident, element, _, _ in walk:
             if ident in index:
                 collisions.append((ident, index[ident], element))
             else:
@@ -528,11 +517,16 @@ class ModelDocument:
 
 
 def merge(*documents: ModelDocument) -> ModelDocument:
-    """One document holding every input's declarations, in input order."""
-    declarations: list[Declaration] = []
-    for document in documents:
-        declarations.extend(document.declarations)
-    return ModelDocument(declarations)
+    """One document holding every input's declarations, in input order.
+
+    A declaration's walk does not depend on the other declarations, so the
+    merged walk is the inputs' walks joined; only the id index is rebuilt,
+    and ids that two inputs share are its collisions.
+    """
+    merged = ModelDocument.__new__(ModelDocument)
+    merged._fill(tuple(d for document in documents for d in document.declarations),
+                 tuple(e for document in documents for e in document._walk))
+    return merged
 
 
 def lookup(document: ModelDocument, ident: str) -> Element | None:

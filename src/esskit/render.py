@@ -33,16 +33,16 @@ from .model import (
     walk_specs,
 )
 
-# Full matches of the lexer's own STRING and IDENT patterns.
-_STRING = re.compile(_TOKEN_PATTERNS["STRING"], re.VERBOSE).fullmatch
+# Full matches of the lexer's own IDENT pattern.
 _IDENT = re.compile(_TOKEN_PATTERNS["IDENT"], re.VERBOSE).fullmatch
 
 
 def _string(value: str) -> str:
-    quoted = '"' + value.replace('"', '\\"') + '"'
-    if _STRING(quoted) is None:
+    # The lexer's STRING pattern takes any text whose quotes are escaped,
+    # except a backslash of its own or a line break.
+    if "\\" in value or "\n" in value:
         raise ValueError(f"text {value!r} is not representable as a string")
-    return quoted
+    return '"' + value.replace('"', '\\"') + '"'
 
 
 def _ident(name: str) -> str:

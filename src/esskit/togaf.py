@@ -208,13 +208,6 @@ def _plurality_area(counts: dict[Area, int]) -> Area:
     return next(area for area in _AREA_TIE_ORDER if counts[area] == best)
 
 
-def map_all_phases(document: ModelDocument, model: ResolvedModel,
-                   config: CheckConfig | None = None) -> ModelDocument:
-    """One practice per phase specification, in declaration order."""
-    practices = [map_phase(phase, model, config) for phase in document.phases()]
-    return ModelDocument(practices)
-
-
 # Bundled corpus ------------------------------------------------------------
 
 

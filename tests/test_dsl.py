@@ -14,6 +14,7 @@ from esskit.model import (
     Activity,
     ActivitySpec,
     Area,
+    Contribution,
     ModelDocument,
     Practice,
     Role,
@@ -181,6 +182,27 @@ def test_render_rejects_backslash():
         render.render_canonical(document)
 
 
+_LEXER_STRING = re.compile(dsl._TOKEN_PATTERNS["STRING"], re.VERBOSE).fullmatch
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=st.one_of(st.text(alphabet=st.sampled_from('ab "\\\n\r\té#{')), st.text()))
+def test_render_writes_a_string_exactly_when_the_lexer_reads_it_back(text):
+    quoted = '"' + text.replace('"', '\\"') + '"'
+    if _LEXER_STRING(quoted) is None:
+        with pytest.raises(ValueError, match="not representable as a string"):
+            render._string(text)
+    else:
+        assert render._string(text) == quoted
+
+
+def test_render_writers_call_the_string_check():
+    assert render._WRITERS["name"] is render._string
+    assert render._WRITERS["string"] is render._string
+    with pytest.raises(ValueError, match="not representable as a string"):
+        render._WRITERS["contribution"](Contribution("W", "line\nbreak"))
+
+
 def test_render_refuses_an_activity_directly_in_a_practice():
     # The V016 case: constructible by hand, but the grammar has no clause for it.
     practice = Practice(name="P", area=Area.CUSTOMER, goals=("g",),
@@ -310,6 +332,82 @@ def test_tokenize_wraps_the_tuples_the_parser_reads(source):
     tokens = dsl.tokenize(source, "f.ess")
     assert [(t.type, t.value, t.line, t.col, t.end_line, t.end_col)
             for t in tokens] == lexed
+
+
+def _slice_stops(source: str) -> list[int]:
+    """Where the lexer's slices of ``source`` end."""
+    stops, start = [], 0
+    while start < len(source):
+        start = source.find("\n", start + dsl._SLICE) + 1 or len(source)
+        stops.append(start)
+    return stops
+
+
+# Lines that end one slice and start the next in _sliced_source.
+_EDGE_LINES = ("# only a comment, with \"quotes\" and { @ }", "\r",
+               'role "R \\"1\\"" { competency Analysis @ 3 }\r', "  # indented comment",
+               '"a string" "two" 12ab', "\t\r")
+_FILLER = ('kernel "K" {\r', "  area Customer color green # trailing", "",
+           '  competency Stakeholder_Representation area Customer levels 5', "}")
+
+
+def _sliced_source() -> str:
+    """Text of more than three slices whose edges fall on _EDGE_LINES."""
+    lines: list[str] = []
+    size, start = 0, 0
+    for ending, starting in zip(_EDGE_LINES[::2], _EDGE_LINES[1::2]):
+        stop = start + dsl._SLICE  # the slice ends with the line holding this
+        index = 0
+        while size + len(_FILLER[index % 5]) + 1 < stop - len(ending) - 80:
+            lines.append(_FILLER[index % 5])
+            size += len(lines[-1]) + 1
+            index += 1
+        lines.append(" " * (stop - len(ending) - size - 1))  # blanks up to ``ending``
+        lines += [ending, starting]
+        start = stop + 1
+        size = start + len(starting) + 1
+    lines += _FILLER * 40
+    return "\n".join(lines)
+
+
+def _lexed_line_by_line(source: str) -> list[tuple]:
+    tokens = []
+    lines = source.split("\n")
+    for number, line in enumerate(lines, 1):
+        tokens += [(kind, value, number, col, number, end_col)
+                   for kind, value, _, col, _, end_col in dsl._lex(line, "f.ess")[:-1]]
+    return tokens + [("EOF", "", len(lines), len(lines[-1]) + 1,
+                      len(lines), len(lines[-1]) + 1)]
+
+
+def test_lexing_in_slices_matches_each_line_lexed_alone():
+    source = _sliced_source()
+    stops = _slice_stops(source)
+    assert len(stops) > 3
+    for stop, ending, starting in zip(stops, _EDGE_LINES[::2], _EDGE_LINES[1::2]):
+        assert source[:stop - 1].rsplit("\n", 1)[-1] == ending
+        assert source[stop:].split("\n", 1)[0] == starting
+    for text in (source, source + "\n", source + "\n  \t", source + "  "):
+        assert dsl._lex(text, "f.ess") == _lexed_line_by_line(text)
+
+
+@pytest.mark.parametrize("bad, message, offset", [
+    ("\x0b", "unexpected character '\\x0b'", 0),
+    ('"a\\n"', 'invalid escape sequence; only \\" is supported', 2),
+    ('"open', "unterminated string", 0),
+], ids=["character", "escape", "unterminated"])
+def test_lexical_errors_after_the_first_slice(bad, message, offset):
+    source = _sliced_source()
+    stops = _slice_stops(source)
+    for at in (stops[0], stops[1] + 1, stops[2] - 2):
+        line = source.count("\n", 0, at) + 1
+        col = at - (source.rfind("\n", 0, at) + 1) + 1
+        with pytest.raises(ParseError) as failure:
+            dsl._lex(source[:at] + bad + source[at:], "f.ess")
+        (diagnostic,) = failure.value.diagnostics
+        assert diagnostic.message == message
+        assert (diagnostic.span.start_line, diagnostic.span.start_col) == \
+            (line, col + offset)
 
 
 def test_parse_builds_no_token_records(monkeypatch):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esskit import dsl, model, render
 from esskit.diagnostics import Diagnostic, Severity, SourceSpan
 from esskit.dsl import Token
 from esskit.lint import LintRule
@@ -32,10 +37,13 @@ from esskit.model import (
     lookup,
     merge,
     slug,
+    walk_element,
     walk_specs,
 )
 from esskit.progress import Assessment, EnactmentState
 from esskit.validator import AreaProfile, CheckConfig
+
+from conftest import generate_document
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -53,6 +61,28 @@ def test_slug(name, expected):
 def test_slug_rejects_unusable_names():
     with pytest.raises(ValueError):
         slug("...")
+
+
+def test_slug_memo_refuses_an_unusable_name_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot derive an identifier"):
+            slug("-- !")
+
+
+def test_slug_memo_is_bounded():
+    assert slug.cache_info().maxsize is not None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.text())
+def test_slug_memo_returns_what_slugging_returns(name):
+    try:
+        expected = slug.__wrapped__(name)
+    except ValueError:
+        with pytest.raises(ValueError):
+            slug(name)
+        return
+    assert slug(name) == expected
 
 
 def test_area_pairing_is_fixed():
@@ -139,6 +169,66 @@ def test_merge_preserves_order(corpus):
     first = ModelDocument([_tiny_practice()])
     combined = merge(first, ModelDocument())
     assert combined.declarations == first.declarations
+
+
+def _split(declarations, rng: random.Random) -> list[ModelDocument]:
+    """``declarations`` as 1-3 files, each rendered and parsed on its own."""
+    cuts = sorted(rng.sample(range(len(declarations) + 1), rng.randint(0, 2)))
+    bounds = [0, *cuts, len(declarations)]
+    return [dsl.parse(render.render_canonical(ModelDocument(declarations[a:b])),
+                      f"part-{index}.ess")
+            for index, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def _duplicated_documents() -> list[list[ModelDocument]]:
+    """Hand-built files that redeclare each other's and their own ids."""
+    role = Role(name="Lead", competencies=(CompetencyGrade("Analysis", 3),))
+    kernel = Kernel(name="K", members=(
+        Competency(name="Analysis", area=Area.SOLUTION),
+        Competency(name="analysis", area=Area.CUSTOMER)))
+    return [
+        [ModelDocument([role, _tiny_practice()]), ModelDocument([role])],
+        [ModelDocument([kernel]), ModelDocument(), ModelDocument([kernel, role])],
+        [ModelDocument([_tiny_practice(), _tiny_practice()]),
+         ModelDocument([Role(name="lead", competencies=())])],
+    ]
+
+
+def _assert_merge_joins_the_walks(documents: list[ModelDocument]) -> None:
+    merged = merge(*documents)
+    whole = ModelDocument([d for document in documents for d in document.declarations])
+    assert merged == whole
+    assert merged.walk() == whole.walk()
+    assert merged.id_collisions() == whole.id_collisions()
+    for ident, _, _, _ in whole.walk():
+        assert merged.lookup(ident) is whole.lookup(ident)
+
+
+def test_merge_joins_the_walks_of_its_inputs():
+    rng = random.Random(20261021)
+    for _ in range(60):
+        declarations = list(generate_document(rng).declarations)
+        _assert_merge_joins_the_walks(_split(declarations, rng))
+    for documents in _duplicated_documents():
+        assert merge(*documents).id_collisions()
+        _assert_merge_joins_the_walks(documents)
+
+
+def test_merge_walks_no_declaration(monkeypatch):
+    rng = random.Random(20261022)
+    inputs = [_split(list(generate_document(rng).declarations), rng) for _ in range(20)]
+    inputs += _duplicated_documents()
+    expected = [ModelDocument([d for document in documents for d in document.declarations])
+                for documents in inputs]
+
+    def refuse(element):
+        raise AssertionError("merge walked a declaration")
+
+    monkeypatch.setattr(model, "walk_element", refuse)
+    for documents, whole in zip(inputs, expected):
+        merged = merge(*documents)
+        assert merged.walk() == whole.walk()
+        assert merged.id_collisions() == whole.id_collisions()
 
 
 def test_dotted_id():
@@ -350,7 +440,7 @@ def test_activity_iterators_keep_source_order_without_recursion():
     practice = Practice(name="P", area=Area.CUSTOMER, goals=("g",),
                         members=(inner, Space(name="last", members=(Activity(name="z"),))))
     expected = [f"a{level}" for level in range(depth - 1, 0, -1)] + ["deepest"]
-    assert [a.name for a in inner.subtree_activities()] == expected
+    assert [e.name for _, e, _, _ in walk_element(inner) if e.kind == "activity"] == expected
     assert [a.name for a in practice.all_activities()] == expected + ["z"]
 
 

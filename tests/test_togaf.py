@@ -20,6 +20,8 @@ from esskit.model import (
     WorkProduct,
     WorkProductCategory,
     merge,
+    walk_element,
+    walk_specs,
 )
 from esskit.togaf import (
     PHASE_PRACTICE_NAMES,
@@ -83,11 +85,11 @@ def test_decomposed_activity_becomes_nested_space(fixture_model):
             ActivitySpec(name="sub three", tags=("builds",)),
         )),))])
     practice = map_phase(spec, fixture_model)
-    step_space = practice.spaces()[0]
-    assert step_space.activities() == ()
-    nested = step_space.child_spaces()
-    assert len(nested) == 1 and nested[0].name == "Identify Stakeholders"
-    assert len(nested[0].activities()) == 3
+    below = [(element.kind, element.name, depth)
+             for _, element, _, depth in walk_element(practice.spaces()[0])]
+    assert below == [("space", "Step", 0), ("space", "Identify Stakeholders", 1),
+                     ("activity", "sub one", 2), ("activity", "sub two", 2),
+                     ("activity", "sub three", 2)]
 
 
 def test_colon_convention_for_multi_feeder_output(fixture_model):
@@ -183,7 +185,8 @@ def test_mapping_errors(fixture_model):
                   fixture_model)
     relaxed = map_phase(_phase(steps=[StepSpec(name="S", activities=(deep,))]),
                         fixture_model, CheckConfig(max_nesting_depth=4))
-    assert relaxed.spaces()[0].child_spaces()[0].name == "d1"
+    nested = relaxed.spaces()[0].members[0]
+    assert (nested.kind, nested.name) == ("space", "d1")
 
 
 def test_sibling_specs_may_share_a_name(fixture_model):
@@ -365,7 +368,7 @@ def check_mapping_rules(spec: TogafPhase, model) -> None:
     for step, space in zip(spec.steps, spaces):
         for spec_leaf, activity in zip(
                 (l for a in step.activities for l in _leaves(a)),
-                space.subtree_activities()):
+                (e for _, e, _, _ in walk_element(space) if e.kind == "activity")):
             has_analysis = any(g.competency == "Analysis"
                                for g in activity.requires)
             assert has_analysis == ("endorses_requirements" in spec_leaf.tags)
@@ -411,12 +414,14 @@ def test_corpus_counts_match_manifest(corpus, manifest):
         entry = manifest["phases"][phase.phase]
         assert phase.name == entry["name"]
         assert len(phase.steps) == entry["steps"]
-        assert sum(s.spec_count() for s in phase.steps) == entry["activities"]
+        assert sum(spec.kind == "activity"
+                   for _, spec, _, _ in walk_specs(phase)) == entry["activities"]
         assert len(phase.outputs) == entry["outputs"]
 
 
 def test_corpus_practices_are_the_mapper_output(corpus, corpus_model, manifest):
-    regenerated = togaf.map_all_phases(corpus, corpus_model)
+    regenerated = ModelDocument([map_phase(phase, corpus_model)
+                                 for phase in corpus.phases()])
     shipped = ModelDocument(corpus.practices())
     assert render.render_canonical(regenerated) == \
            render.render_canonical(shipped)
@@ -424,15 +429,10 @@ def test_corpus_practices_are_the_mapper_output(corpus, corpus_model, manifest):
     for practice, phase in zip(regenerated.practices(), corpus.phases()):
         mapped = manifest["phases"][phase.phase]["mapped"]
         assert len(practice.spaces()) == mapped["top_spaces"]
-        nested = sum(len(list(_all_nested(s))) for s in practice.spaces())
+        nested = sum(element.kind == "space" and depth > 1
+                     for _, element, _, depth in walk_element(practice))
         assert nested == mapped["nested_spaces"]
         assert sum(1 for _ in practice.all_activities()) == mapped["activities"]
-
-
-def _all_nested(space: Space):
-    for child in space.child_spaces():
-        yield child
-        yield from _all_nested(child)
 
 
 def test_corpus_method_shape(corpus):
