@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esskit import dsl, render, togaf, validator
+from esskit import dsl, render, validator
 from esskit.model import (
     PHASE_IDS,
     Activity,
