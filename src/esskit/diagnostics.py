@@ -16,13 +16,14 @@ class Record:
     then calls ``__post_init__`` when the class defines one), ``__eq__`` and
     ``__hash__`` over the field tuple, and a ``__repr__`` listing it. Fields
     named in ``hidden`` are stored but left out of all three. Assigning or
-    deleting an attribute raises :class:`AttributeError`, unless the class
-    is declared with ``frozen=False``, which also makes it unhashable.
+    deleting an attribute raises :class:`AttributeError`; ``__post_init__``
+    may store a derived field value in ``self.__dict__``, as ``__init__``
+    does. A record holding a dict or list is not hashable.
     """
 
     _shown: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+    def __init_subclass__(cls, *, hidden: tuple[str, ...] = ()):
         super().__init_subclass__()
         names = [name for name, annotation in cls.__dict__.get("__annotations__", {}).items()
                  if not annotation.startswith("ClassVar")]
@@ -58,10 +59,6 @@ class Record:
         for method in ("__init__", "__eq__", "__hash__"):
             scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method, scope[method])
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])

@@ -99,15 +99,6 @@ _MARKS = {"{": "LBRACE", "}": "RBRACE", "@": "AT"}
 _SLICE = 4096
 
 
-class Token(Record):
-    type: str  # IDENT | STRING | INT | LBRACE | RBRACE | AT | EOF
-    value: str | int
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-
-
 def _describe(token: tuple) -> str:
     """What a syntax error says it found: ``token`` starts ``(type, value)``."""
     if token[0] == "EOF":
@@ -131,18 +122,13 @@ def _diagnostic(file: str, line: int, col: int, message: str, *,
                       message=message, span=span, hint=hint)
 
 
-def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    """Token stream for ``source``; lexical errors raise :class:`ParseError`.
+def tokenize(source: str, file: str = "<input>") -> list[tuple]:
+    """The tokens of ``source``; lexical errors raise :class:`ParseError`.
 
-    Library users get :class:`Token` records; the parser reads the same
-    tokens as the plain tuples of :func:`_lex`.
-    """
-    return [Token(*token) for token in _lex(source, file)]
-
-
-def _lex(source: str, file: str) -> list[tuple]:
-    """:func:`tokenize` as plain tuples of the :class:`Token` fields, which the
-    parser reads by index: ``token[0]`` is the type, ``token[1]`` the value.
+    Each token is a ``(type, value, line, col, end_line, end_col)`` tuple,
+    the form the parser reads by index. ``type`` is ``IDENT``, ``STRING``,
+    ``INT``, ``LBRACE``, ``RBRACE``, ``AT`` or ``EOF``; the last token is
+    always ``EOF``. Positions are 1-based and the end column is inclusive.
 
     Strings cannot hold a line break, so no token spans one, and the source
     is scanned in slices that each end just after a line break. Offsets,
@@ -313,7 +299,6 @@ class _Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
-        self.last = tokens[0]
         self.diagnostics: list[Diagnostic] = []
 
     # Cursor helpers ------------------------------------------------------
@@ -326,7 +311,6 @@ class _Parser:
         token = self.tokens[self.pos]
         if token[0] != "EOF":
             self.pos += 1
-        self.last = token
         return token
 
     def _fail(self, message: str, *, hint: str | None = None,
@@ -345,7 +329,9 @@ class _Parser:
         return self._advance()
 
     def _span_from(self, start: tuple) -> SourceSpan:
-        return SourceSpan(self.file, start[2], start[3], self.last[4], self.last[5])
+        """From ``start`` to the last token consumed, which is never EOF."""
+        end = self.tokens[self.pos - 1]
+        return SourceSpan(self.file, start[2], start[3], end[4], end[5])
 
     # Value readers, each ``(parser, values)`` where ``values`` holds the
     # fields of the block read so far ------------------------------------
@@ -434,7 +420,6 @@ class _Parser:
                     target, read, child = arg[token[1]]
                     if child is None:
                         self.pos += 1
-                        self.last = token
                         values[target].append(read(self, values))
                     else:
                         values[target].append(self._block(child))
@@ -455,7 +440,6 @@ class _Parser:
                             continue
                         raise self._fail(f"found {_describe(token)}", hint=f"'{need}'")
                     self.pos += 1
-                    self.last = token
                 values[field] = arg(self, values)
             elif op is _OPEN:
                 if token[0] != "LBRACE" and arg:
@@ -562,7 +546,7 @@ def parse(source: str, file: str = "<input>") -> ModelDocument:
     Blocks nested deeper than the interpreter's recursion limit allows are a
     syntax error at the token the parser had reached.
     """
-    parser = _Parser(_lex(source, file), file)
+    parser = _Parser(tokenize(source, file), file)
     try:
         declarations = parser.parse_document()
         document = ModelDocument(declarations)

@@ -94,11 +94,13 @@ def _entry(clause, prefix: str) -> tuple:
 
 
 def _plan(block) -> tuple:
-    """``(keyword, head entries, body entries, braces)`` of a block.
+    """``(keyword, head entries, body entries, braces, unwritten)`` of a block.
 
     An entry is ``(prefix, field, writer, repeat, children)``. A field of
     child blocks is one body entry whose ``children`` maps each element class
     it may hold to that block's key; ``children`` is None for a value field.
+    ``unwritten`` pairs each shown field no clause writes with its default,
+    such as the members of a kernel space or the area of a practice space.
     """
     head = tuple(_entry(clause, f" {clause.word} " if clause.word else " ")
                  for clause in block.head)
@@ -110,7 +112,10 @@ def _plan(block) -> tuple:
                 entry[4][GRAMMAR[clause.kind].cls] = clause.kind
             else:
                 body[clause.field] = _entry(clause, f"{clause.word} ")
-    return block.word, head, tuple(body.values()), block.braces
+    written = {clause.field for clause in block.head} | body.keys()
+    unwritten = tuple((field, getattr(block.cls, field))
+                      for field in block.cls._shown if field not in written)
+    return block.word, head, tuple(body.values()), block.braces, unwritten
 
 
 _PLANS = {key: _plan(block) for key, block in GRAMMAR.items()}
@@ -122,7 +127,9 @@ def render_canonical(document: ModelDocument) -> str:
 
     An empty document renders as empty text. Raises ValueError for names the
     surface syntax cannot carry (backslashes, line breaks, or names that do
-    not survive the identifier encoding), and TypeError for an element the
+    not survive the identifier encoding) and for a field its block has no
+    clause for that differs from its default (a kernel space's members, a
+    practice space's area or parent), and TypeError for an element the
     grammar has no place for, such as an activity directly in a practice.
     """
     lines: list[str] = []
@@ -138,7 +145,11 @@ def _render(lines: list[str], element, key: str, indent: str) -> None:
     """Append the lines of ``element``, an instance of block ``key``; a child
     block is one direct call of this function, so each level of nesting
     costs one frame."""
-    word, head, body, braces = _PLANS[key]
+    word, head, body, braces, unwritten = _PLANS[key]
+    for field, default in unwritten:
+        if getattr(element, field) != default:
+            raise ValueError(f"{key} block cannot write the {field} of "
+                             f"{element.kind} {element.name!r}")
     line = indent + word
     for prefix, field, write, repeat, _ in head:
         value = getattr(element, field)

@@ -44,22 +44,25 @@ class CheckConfig(Record):
     max_nesting_depth: int = 3
 
 
-class AreaProfile(Record, frozen=False):
+class AreaProfile(Record):
     """Per-area element counts for one practice, and the winning area(s).
 
     Counts are the practice's top-level spaces (by effective area) plus one
     per activity competency requirement (by the competency's area). The
     plurality is the argmax set, empty when nothing was counted, which makes
     the modeler's declared-area choice auditable without overriding it.
+    ``counts`` holds a copy of the mapping passed in, with every missing
+    area at 0. Like every record a profile refuses assignment; its dict
+    makes it unhashable.
     """
 
     counts: dict[Area, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.counts is None:
-            self.counts = {}
+        counts = dict(self.counts or ())
         for area in Area:
-            self.counts.setdefault(area, 0)
+            counts.setdefault(area, 0)
+        self.__dict__["counts"] = counts
 
     @property
     def total(self) -> int:
@@ -186,16 +189,15 @@ def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfil
     A requirement of a competency the model does not declare counts in no
     area, so a model built without :func:`resolve` still gets a profile.
     """
-    profile = AreaProfile()
+    counts = dict.fromkeys(Area, 0)
     for space in practice.spaces():
-        effective = space.area or practice.area
-        profile.counts[effective] += 1
+        counts[space.area or practice.area] += 1
     for activity in practice.all_activities():
         for grade in activity.requires:
             declared = model.competencies.get(grade.competency)
             if declared is not None:
-                profile.counts[declared.area] += 1
-    return profile
+                counts[declared.area] += 1
+    return AreaProfile(counts)
 
 
 def check_wellformedness(model: ResolvedModel,

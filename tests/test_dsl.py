@@ -15,6 +15,7 @@ from esskit.model import (
     ActivitySpec,
     Area,
     Contribution,
+    Kernel,
     ModelDocument,
     Practice,
     Role,
@@ -222,7 +223,17 @@ def _phase(phase: str = "A", tags: tuple[str, ...] = ("builds",)) -> TogafPhase:
      "tag 'two words' is not representable as an identifier"),
     (ModelDocument([_phase(tags=("sings",))]), "activity tag 'sings' is not one of"),
     (ModelDocument([_phase(phase="Z")]), "phase id 'Z' is not one of"),
-], ids=["word", "tag", "phase"])
+    (ModelDocument([Kernel(name="K", members=(Space(
+        name="S", area=Area.CUSTOMER, members=(Activity(name="a"),)),))]),
+     "kernel_space block cannot write the members of space 'S'"),
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S", area=Area.SOLUTION),))]),
+     "space block cannot write the area of space 'S'"),
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S"), Space(name="T", parent="S")))]),
+     "space block cannot write the parent of space 'T'"),
+], ids=["word", "tag", "phase", "kernel-space-members", "practice-space-area",
+        "practice-space-parent"])
 def test_render_refuses_values_the_parser_rejects(document, message):
     with pytest.raises(ValueError, match=message):
         render.render_canonical(document)
@@ -277,7 +288,7 @@ _WORDS = st.lists(st.sampled_from([
 
 def _lexed(source: str):
     line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
-    words = [t for t in dsl.tokenize(source) if t.type in ("IDENT", "STRING", "INT")]
+    words = [t for t in dsl.tokenize(source) if t[0] in ("IDENT", "STRING", "INT")]
     return source, line_starts, words
 
 
@@ -293,9 +304,9 @@ def _mutated_corpus(draw):
     chosen = draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=3,
                            unique=True))
     for index in sorted(chosen, reverse=True):
-        token = words[index]
-        start = line_starts[token.line - 1] + token.col - 1
-        end = line_starts[token.end_line - 1] + token.end_col
+        _, _, line, col, end_line, end_col = words[index]
+        start = line_starts[line - 1] + col - 1
+        end = line_starts[end_line - 1] + end_col
         replacement = draw(st.sampled_from(
             ["_", "__", "A", '"!"', '""', "0", "9", "{", "}", "@", ""]))
         source = source[:start] + replacement + source[end:]
@@ -316,22 +327,6 @@ def test_tokenize_and_parse_are_total(source):
     except ParseError:
         return
     assert dsl.parse(render.render_canonical(document)) == document
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(source=st.one_of(st.text(), _WORDS, _ROLES))
-def test_tokenize_wraps_the_tuples_the_parser_reads(source):
-    try:
-        lexed = dsl._lex(source, "f.ess")
-    except ParseError as failure:
-        for entry_point in (dsl.tokenize, dsl.parse):
-            with pytest.raises(ParseError) as public:
-                entry_point(source, "f.ess")
-            assert public.value.diagnostics == failure.diagnostics
-        return
-    tokens = dsl.tokenize(source, "f.ess")
-    assert [(t.type, t.value, t.line, t.col, t.end_line, t.end_col)
-            for t in tokens] == lexed
 
 
 def _slice_stops(source: str) -> list[int]:
@@ -375,7 +370,7 @@ def _lexed_line_by_line(source: str) -> list[tuple]:
     lines = source.split("\n")
     for number, line in enumerate(lines, 1):
         tokens += [(kind, value, number, col, number, end_col)
-                   for kind, value, _, col, _, end_col in dsl._lex(line, "f.ess")[:-1]]
+                   for kind, value, _, col, _, end_col in dsl.tokenize(line, "f.ess")[:-1]]
     return tokens + [("EOF", "", len(lines), len(lines[-1]) + 1,
                       len(lines), len(lines[-1]) + 1)]
 
@@ -388,7 +383,7 @@ def test_lexing_in_slices_matches_each_line_lexed_alone():
         assert source[:stop - 1].rsplit("\n", 1)[-1] == ending
         assert source[stop:].split("\n", 1)[0] == starting
     for text in (source, source + "\n", source + "\n  \t", source + "  "):
-        assert dsl._lex(text, "f.ess") == _lexed_line_by_line(text)
+        assert dsl.tokenize(text, "f.ess") == _lexed_line_by_line(text)
 
 
 @pytest.mark.parametrize("bad, message, offset", [
@@ -403,25 +398,33 @@ def test_lexical_errors_after_the_first_slice(bad, message, offset):
         line = source.count("\n", 0, at) + 1
         col = at - (source.rfind("\n", 0, at) + 1) + 1
         with pytest.raises(ParseError) as failure:
-            dsl._lex(source[:at] + bad + source[at:], "f.ess")
+            dsl.tokenize(source[:at] + bad + source[at:], "f.ess")
         (diagnostic,) = failure.value.diagnostics
         assert diagnostic.message == message
         assert (diagnostic.span.start_line, diagnostic.span.start_col) == \
             (line, col + offset)
 
 
-def test_parse_builds_no_token_records(monkeypatch):
+def test_parse_lexes_through_the_public_tokenize_once(monkeypatch):
+    # A profiler that wraps dsl.tokenize sees every parse's lexing.
     rng = random.Random(20261020)
-    sources = [text for name, text in sorted(togaf.corpus_files().items())
+    sources = [(text, name) for name, text in sorted(togaf.corpus_files().items())
                if name.endswith(".ess")]
-    sources += [render.render_canonical(generate_document(rng)) for _ in range(50)]
+    sources += [(render.render_canonical(generate_document(rng)), f"gen{n}.ess")
+                for n in range(20)]
+    expected = [dsl.parse(source, file) for source, file in sources]
+    calls = []
+    tokenize = dsl.tokenize
 
-    def refuse(*fields):
-        raise AssertionError("parse built a Token")
+    def counting(*args):
+        calls.append(args)
+        return tokenize(*args)
 
-    monkeypatch.setattr(dsl, "Token", refuse)
-    for source in sources:
-        dsl.parse(source)
+    monkeypatch.setattr(dsl, "tokenize", counting)
+    for (source, file), document in zip(sources, expected):
+        calls.clear()
+        assert dsl.parse(source, file) == document
+        assert calls == [(source, file)]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -439,18 +442,18 @@ def test_token_spans_slice_back_to_their_text(lexemes):
     source = "".join(text + separator for (_, text), separator in lexemes)
     tokens = dsl.tokenize(source)
     lines = source.split("\n")
-    assert [t.type for t in tokens] == [kind for (kind, _), _ in lexemes] + ["EOF"]
-    for token, ((_, text), _) in zip(tokens, lexemes):
-        assert token.end_line == token.line
-        assert lines[token.line - 1][token.col - 1:token.end_col] == text
-        if token.type == "STRING":
-            assert text == '"' + token.value.replace('"', '\\"') + '"'
-        elif token.type == "INT":
-            assert token.value == int(text)
+    assert [t[0] for t in tokens] == [kind for (kind, _), _ in lexemes] + ["EOF"]
+    for (kind, value, line, col, end_line, end_col), ((_, text), _) in zip(tokens, lexemes):
+        assert end_line == line
+        assert lines[line - 1][col - 1:end_col] == text
+        if kind == "STRING":
+            assert text == '"' + value.replace('"', '\\"') + '"'
+        elif kind == "INT":
+            assert value == int(text)
         else:
-            assert token.value == text
+            assert value == text
     eof = tokens[-1]
-    assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
+    assert eof[2:4] == (len(lines), len(lines[-1]) + 1)
 
 
 # Guards on the grammar table -----------------------------------------------------
@@ -524,8 +527,8 @@ def _lexical_lines(source: str):
         for d in failure.diagnostics:
             yield f"{d.rule}|{d.message}|{d.span}"
     else:
-        for t in tokens:
-            yield repr((t.type, t.value, t.line, t.col, t.end_line, t.end_col))
+        for token in tokens:
+            yield repr(token)
 
 
 # sha256 of the token streams and lexical errors of the corpus and of 2,000

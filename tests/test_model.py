@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from esskit import dsl, model, render
 from esskit.diagnostics import Diagnostic, Severity, SourceSpan
-from esskit.dsl import Token
 from esskit.lint import LintRule
 from esskit.model import (
     Activity,
@@ -318,7 +317,6 @@ def _records(span: SourceSpan) -> dict:
         span,
         Diagnostic(rule="V001", severity=Severity.ERROR, path="role.r", message="m",
                    span=span, hint="h"),
-        Token("IDENT", "x", 1, 2, 1, 2),
         LintRule("L009", "spare", Severity.WARNING, "d"),
         AreaDecl(area=Area.CUSTOMER, span=span),
         ChecklistItem(text="c", key="1.1"),
@@ -355,7 +353,6 @@ _PINNED_REPRS = {
     "Diagnostic": ("Diagnostic(rule='V001', severity=<Severity.ERROR: 'error'>, "
                    "path='role.r', message='m', span=SourceSpan(file='a.ess', "
                    "start_line=1, start_col=1, end_line=2, end_col=3), hint='h')"),
-    "Token": "Token(type='IDENT', value='x', line=1, col=2, end_line=1, end_col=2)",
     "LintRule": ("LintRule(id='L009', name='spare', severity=<Severity.WARNING: "
                  "'warning'>, description='d')"),
     "AreaDecl": "AreaDecl(area=<Area.CUSTOMER: 'Customer'>)",
@@ -404,7 +401,7 @@ def test_record_contract(kind):
     else:
         assert record == moved  # model elements ignore their spans
     if kind == "AreaProfile":
-        return  # mutable; see test_area_profile_is_mutable_and_unhashable
+        return  # unhashable; see test_area_profile_is_frozen_and_unhashable
     assert hash(record) == hash(copy)
     if record == moved:
         assert hash(record) == hash(moved)
@@ -416,15 +413,18 @@ def test_record_contract(kind):
     assert repr(record) == _PINNED_REPRS[kind]
 
 
-def test_area_profile_is_mutable_and_unhashable():
-    first, second = AreaProfile(), AreaProfile()
-    first.counts[Area.CUSTOMER] += 1
-    assert second.counts == {area: 0 for area in Area}
-    assert first != second
-    first.counts = dict(second.counts)
-    assert first == second
+def test_area_profile_is_frozen_and_unhashable():
+    given = {Area.SOLUTION: 2}
+    profile = AreaProfile(given)
+    assert given == {Area.SOLUTION: 2}  # filled in a copy
+    assert profile == AreaProfile({Area.SOLUTION: 2, Area.CUSTOMER: 0})
+    assert profile != AreaProfile()
+    with pytest.raises(AttributeError):
+        profile.counts = {}
+    with pytest.raises(AttributeError):
+        del profile.counts
     with pytest.raises(TypeError):
-        hash(first)
+        hash(profile)
 
 
 def test_source_span_rejects_an_end_before_its_start():
