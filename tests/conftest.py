@@ -238,3 +238,42 @@ def generate_document(rng: random.Random) -> ModelDocument:
     for _ in range(rng.randint(0, 2)):
         declarations.append(_gen_phase(rng, names, used_phases))
     return ModelDocument(declarations)
+
+
+def collision_document() -> ModelDocument:
+    """Colliding ids, an activity directly in a practice and a kernel space
+    with members: documents only code can build."""
+    kernel = Kernel(name="K", members=(
+        AreaDecl(area=Area.CUSTOMER),
+        Alpha(name="A", area=Area.CUSTOMER, states=(
+            AlphaState(name="Begun", checklist=("a", "b")),
+            AlphaState(name="Done", checklist=("c",)))),
+        Alpha(name="A", area=Area.SOLUTION, states=(
+            AlphaState(name="Other", checklist=("d",)),)),
+        Competency(name="Analysis", area=Area.SOLUTION, max_level=4),
+        Space(name="Root", area=Area.CUSTOMER, members=(
+            Activity(name="inside", produces=(Contribution("Plan"),)),
+            Space(name="Sub", members=(Activity(name="deeper"),)))),
+        Space(name="Leaf", area=Area.ENDEAVOR, parent="Root", goal="g"),
+        WorkProduct(name="Plan", category=WorkProductCategory.DIAGRAM, description="d"),
+    ))
+    role = Role(name="Lead", competencies=(CompetencyGrade("Analysis", 3),))
+    first = Practice(name="P", area=Area.CUSTOMER, goals=("g",), inputs=("i",),
+                     outputs=(WorkProduct(name="Out"),), members=(
+        Space(name="S", members=(Activity(
+            name="x", requires=(CompetencyGrade("Analysis", 2),),
+            produces=(Contribution("Out", "part"), Contribution("Plan")),
+            role="Lead", tags=("t",)),)),
+        Space(name="S", area=Area.SOLUTION, members=(
+            Space(name="T", members=(Activity(name="y"),)),)),
+        Activity(name="stray", produces=(Contribution("Out"),)),
+    ))
+    second = Practice(name="P", area=Area.ENDEAVOR, goals=("h",), members=(
+        Space(name="S", members=(Activity(name="z", produces=(Contribution("Plan", "p"),)),)),))
+    method = Method(name="M", cycle=("P",), preamble="P", concurrent=("P",))
+    phases = [TogafPhase(phase="A", name=name, objective="o", outputs=(WorkProduct(name=name),),
+                         steps=(StepSpec(name="S", activities=(ActivitySpec(
+                             name="D", tags=("builds",), feeds=(Contribution(name, "x"),),
+                             role="Lead"),)),))
+              for name in ("Vision", "Again")]
+    return ModelDocument([kernel, role, first, second, method, *phases])

@@ -10,29 +10,9 @@ from hypothesis import strategies as st
 
 from esskit import dsl, progress, render, validator
 from esskit.diagnostics import ResolveError
-from esskit.model import (
-    Activity,
-    ActivitySpec,
-    Alpha,
-    AlphaState,
-    Area,
-    AreaDecl,
-    Competency,
-    CompetencyGrade,
-    Contribution,
-    Kernel,
-    Method,
-    ModelDocument,
-    Practice,
-    Role,
-    Space,
-    StepSpec,
-    TogafPhase,
-    WorkProduct,
-    WorkProductCategory,
-)
+from esskit.model import Alpha, AlphaState, Area
 
-from conftest import generate_document, parse_with_kernel
+from conftest import collision_document, generate_document, parse_with_kernel
 
 
 def test_minimal_kernel_export_shape():
@@ -161,51 +141,12 @@ def test_export_is_the_standard_encoding_of_its_tree(corpus):
         assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
 
 
-def _collision_document() -> ModelDocument:
-    """Colliding ids, an activity directly in a practice and a kernel space
-    with members: documents only code can build."""
-    kernel = Kernel(name="K", members=(
-        AreaDecl(area=Area.CUSTOMER),
-        Alpha(name="A", area=Area.CUSTOMER, states=(
-            AlphaState(name="Begun", checklist=("a", "b")),
-            AlphaState(name="Done", checklist=("c",)))),
-        Alpha(name="A", area=Area.SOLUTION, states=(
-            AlphaState(name="Other", checklist=("d",)),)),
-        Competency(name="Analysis", area=Area.SOLUTION, max_level=4),
-        Space(name="Root", area=Area.CUSTOMER, members=(
-            Activity(name="inside", produces=(Contribution("Plan"),)),
-            Space(name="Sub", members=(Activity(name="deeper"),)))),
-        Space(name="Leaf", area=Area.ENDEAVOR, parent="Root", goal="g"),
-        WorkProduct(name="Plan", category=WorkProductCategory.DIAGRAM, description="d"),
-    ))
-    role = Role(name="Lead", competencies=(CompetencyGrade("Analysis", 3),))
-    first = Practice(name="P", area=Area.CUSTOMER, goals=("g",), inputs=("i",),
-                     outputs=(WorkProduct(name="Out"),), members=(
-        Space(name="S", members=(Activity(
-            name="x", requires=(CompetencyGrade("Analysis", 2),),
-            produces=(Contribution("Out", "part"), Contribution("Plan")),
-            role="Lead", tags=("t",)),)),
-        Space(name="S", area=Area.SOLUTION, members=(
-            Space(name="T", members=(Activity(name="y"),)),)),
-        Activity(name="stray", produces=(Contribution("Out"),)),
-    ))
-    second = Practice(name="P", area=Area.ENDEAVOR, goals=("h",), members=(
-        Space(name="S", members=(Activity(name="z", produces=(Contribution("Plan", "p"),)),)),))
-    method = Method(name="M", cycle=("P",), preamble="P", concurrent=("P",))
-    phases = [TogafPhase(phase="A", name=name, objective="o", outputs=(WorkProduct(name=name),),
-                         steps=(StepSpec(name="S", activities=(ActivitySpec(
-                             name="D", tags=("builds",), feeds=(Contribution(name, "x"),),
-                             role="Lead"),)),))
-              for name in ("Vision", "Again")]
-    return ModelDocument([kernel, role, first, second, method, *phases])
-
-
 def test_exports_are_pinned():
     # sha256 over both exports of 60 generated documents and the hand-built
     # one, taken with the exporters that walked each practice again.
     rng = random.Random(20261018)
     digest = hashlib.sha256()
-    for document in [generate_document(rng) for _ in range(60)] + [_collision_document()]:
+    for document in [generate_document(rng) for _ in range(60)] + [collision_document()]:
         digest.update(render.export_json(validator.ResolvedModel(document)).encode("utf-8"))
         digest.update(render.export_dot(document).encode("utf-8"))
     assert digest.hexdigest() == (

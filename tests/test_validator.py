@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+
 import pytest
 
-from esskit import dsl, validator
-from esskit.diagnostics import ResolveError
+from esskit import dsl, lint, togaf, validator
+from esskit.diagnostics import ParseError, ResolveError
 from esskit.model import (
     Activity,
     Area,
     CompetencyGrade,
     Contribution,
+    Kernel,
     Method,
     ModelDocument,
     Practice,
     Space,
     WorkProduct,
+    merge,
 )
 from esskit.validator import AreaProfile, CheckConfig
 
-from conftest import KERNEL_PRELUDE, parse_with_kernel
+from conftest import KERNEL_PRELUDE, collision_document, generate_document, parse_with_kernel
 
 
 def _rules(diagnostics):
@@ -342,3 +348,71 @@ def test_kernel_space_chain_declared_child_first_needs_no_recursion():
                                       "maximum of 3")
     _, relaxed = _check(source, CheckConfig(max_nesting_depth=10**6))
     assert relaxed == []
+
+
+def _corpus_line_mutations(count: int, seed: int):
+    """The merged corpus with one line of one file deleted, doubled, or with
+    its digits, strings or capitalised words replaced; variants that no longer
+    parse are dropped."""
+    rng = random.Random(seed)
+    files = togaf.corpus_files()
+    parsed = {name: dsl.parse(files[name], name) for name in togaf.CORPUS_FILES}
+    for _ in range(count):
+        name = rng.choice(togaf.CORPUS_FILES)
+        lines = files[name].split("\n")
+        at = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+        line = lines[at]
+        edit = rng.randrange(5)
+        if edit == 0:
+            del lines[at]
+        elif edit == 1:
+            lines.insert(at, line)
+        else:
+            pattern = (r"\d", r'"[^"]*"', r"\b[A-Z][A-Za-z_]+\b")[edit - 2]
+            pool = "0123456789" if edit == 2 else re.findall(pattern, files[name])
+            lines[at] = re.sub(pattern, lambda _: rng.choice(pool), line)
+        try:
+            document = dsl.parse("\n".join(lines), name)
+        except ParseError:
+            continue
+        yield merge(*(document if n == name else parsed[n] for n in togaf.CORPUS_FILES))
+
+
+def _rule_outcome_lines(document: ModelDocument):
+    for depth in (3, 1):
+        config = CheckConfig(max_nesting_depth=depth)
+        model, found = validator.check(document, config)
+        yield f"check {depth} {'resolved' if model else 'unresolved'}"
+        yield from (d.render_line() for d in found)
+        yield f"wellformed {depth}"
+        yield from (d.render_line() for d in validator.check_wellformedness(
+            validator.ResolvedModel(document), config))
+    yield "lint"
+    yield from (d.render_line() for d in lint.run_lints(validator.ResolvedModel(document)))
+
+
+# sha256 of the outcome lines of 300 generated documents, the hand-built
+# collision document, one document for the rules neither reaches (V010, V012)
+# and the corpus variants, taken from the validator that walked each
+# declaration kind on its own.
+_RULE_OUTCOMES_SHA256 = "f0620b5ec15c68c84f58e13f639da29bd3c9870cc71a9b55f638ea34c4908de0"
+
+
+def test_rule_outcomes_are_pinned():
+    rng = random.Random(20261019)
+    unreached = ModelDocument([
+        Kernel(name="K", members=(Space(name="A", area=Area.CUSTOMER, parent="B"),
+                                  Space(name="B", area=Area.CUSTOMER, parent="A"))),
+        Practice(name="P", area=Area.CUSTOMER, goals=())])
+    documents = [generate_document(rng) for _ in range(300)]
+    documents += [collision_document(), unreached]
+    documents += _corpus_line_mutations(600, seed=20261019)
+    digest = hashlib.sha256()
+    rules = set()
+    for document in documents:
+        for line in _rule_outcome_lines(document):
+            digest.update(line.encode("utf-8") + b"\n")
+            rules.add(line.split()[0])
+    every_rule = {"V001", "V002", *(f"V{n:03}" for n in range(10, 18)), *lint.VALID_RULE_IDS}
+    assert every_rule <= rules
+    assert digest.hexdigest() == _RULE_OUTCOMES_SHA256
