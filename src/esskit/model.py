@@ -356,21 +356,6 @@ class Kernel(Record, hidden=("span",)):
     members: tuple[KernelMember, ...] = ()
     span: SourceSpan | None = None
 
-    def areas(self) -> tuple[AreaDecl, ...]:
-        return tuple(m for m in self.members if isinstance(m, AreaDecl))
-
-    def alphas(self) -> tuple[Alpha, ...]:
-        return tuple(m for m in self.members if isinstance(m, Alpha))
-
-    def competencies(self) -> tuple[Competency, ...]:
-        return tuple(m for m in self.members if isinstance(m, Competency))
-
-    def spaces(self) -> tuple[Space, ...]:
-        return tuple(m for m in self.members if isinstance(m, Space))
-
-    def work_products(self) -> tuple[WorkProduct, ...]:
-        return tuple(m for m in self.members if isinstance(m, WorkProduct))
-
 
 Declaration = Union[Kernel, Practice, Method, Role, TogafPhase]
 
@@ -499,9 +484,6 @@ class ModelDocument:
         return tuple(e for _, e, _, _ in self._walk if getattr(e, "kind", None) == kind)
 
     # Convenience accessors over top-level declarations.
-
-    def kernels(self) -> tuple[Kernel, ...]:
-        return tuple(d for d in self.declarations if isinstance(d, Kernel))
 
     def practices(self) -> tuple[Practice, ...]:
         return tuple(d for d in self.declarations if isinstance(d, Practice))

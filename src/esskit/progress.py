@@ -76,7 +76,10 @@ class EnactmentState(Record):
     Position 0 is the preamble when there is one, else the first cycle
     practice; every later position follows in closed form, so a cycle may
     list a practice more than once. Build the first state with
-    :func:`start_enactment`, which validates the method.
+    :func:`start_enactment`, which validates the method. A state built
+    directly with an empty cycle or a negative step raises
+    :class:`EnactmentError` from ``current``, ``iteration``, ``trace`` and
+    :func:`active_practices`.
     """
 
     method: Method
@@ -85,6 +88,10 @@ class EnactmentState(Record):
     def _positions(self, steps: range) -> list[tuple[int, str]]:
         """(iteration, practice id) at each enactment position in ``steps``."""
         method = self.method
+        if not method.cycle:
+            raise EnactmentError(f"method {method.name!r} has an empty cycle")
+        if self.step < 0:
+            raise EnactmentError(f"enactment step {self.step} is negative")
         offset = 0 if method.preamble is None else 1
         cycle = [dotted_id("practice", name) for name in method.cycle]
         positions = []

@@ -94,13 +94,16 @@ def _entry(clause, prefix: str) -> tuple:
 
 
 def _plan(block) -> tuple:
-    """``(keyword, head entries, body entries, braces, unwritten)`` of a block.
+    """``(keyword, head entries, body entries, braces, unwritten, required)``
+    of a block.
 
     An entry is ``(prefix, field, writer, repeat, children)``. A field of
     child blocks is one body entry whose ``children`` maps each element class
     it may hold to that block's key; ``children`` is None for a value field.
     ``unwritten`` pairs each shown field no clause writes with its default,
     such as the members of a kernel space or the area of a practice space.
+    ``required`` pairs the field of each ``some`` clause, which the parser
+    needs at least once, with the clause's word.
     """
     head = tuple(_entry(clause, f" {clause.word} " if clause.word else " ")
                  for clause in block.head)
@@ -115,7 +118,9 @@ def _plan(block) -> tuple:
     written = {clause.field for clause in block.head} | body.keys()
     unwritten = tuple((field, getattr(block.cls, field))
                       for field in block.cls._shown if field not in written)
-    return block.word, head, tuple(body.values()), block.braces, unwritten
+    required = tuple((clause.field, clause.word) for run in block.body for clause in run
+                     if clause.repeat == "some")
+    return block.word, head, tuple(body.values()), block.braces, unwritten, required
 
 
 _PLANS = {key: _plan(block) for key, block in GRAMMAR.items()}
@@ -127,10 +132,14 @@ def render_canonical(document: ModelDocument) -> str:
 
     An empty document renders as empty text. Raises ValueError for names the
     surface syntax cannot carry (backslashes, line breaks, or names that do
-    not survive the identifier encoding) and for a field its block has no
+    not survive the identifier encoding), for a field its block has no
     clause for that differs from its default (a kernel space's members, a
-    practice space's area or parent), and TypeError for an element the
-    grammar has no place for, such as an activity directly in a practice.
+    practice space's area or parent), for an empty field the parser needs
+    at least one of (a practice's goals, a role's competencies, a method's
+    cycle, an alpha's states, a state's checklist), and for a phase activity
+    with no tag and no sub-activity or with a repeated tag; and TypeError for
+    an element the grammar has no place for, such as an activity directly in
+    a practice.
     """
     lines: list[str] = []
     for declaration in document.declarations:
@@ -145,11 +154,22 @@ def _render(lines: list[str], element, key: str, indent: str) -> None:
     """Append the lines of ``element``, an instance of block ``key``; a child
     block is one direct call of this function, so each level of nesting
     costs one frame."""
-    word, head, body, braces, unwritten = _PLANS[key]
+    word, head, body, braces, unwritten, required = _PLANS[key]
     for field, default in unwritten:
         if getattr(element, field) != default:
             raise ValueError(f"{key} block cannot write the {field} of "
                              f"{element.kind} {element.name!r}")
+    for field, clause in required:
+        if not getattr(element, field):
+            raise ValueError(f"{key} block of {element.kind} {element.name!r} "
+                             f"requires at least one {clause!r} clause")
+    if key == "spec_activity":
+        # The parser keeps one of each tag and needs a tag or a sub-activity.
+        if len(set(element.tags)) != len(element.tags):
+            raise ValueError(f"activity {element.name!r} repeats a 'tag' clause")
+        if not element.tags and not element.sub_activities:
+            raise ValueError(f"activity {element.name!r} requires a 'tag' clause "
+                             "or a sub-activity")
     line = indent + word
     for prefix, field, write, repeat, _ in head:
         value = getattr(element, field)

@@ -86,10 +86,10 @@ def map_phase(spec: TogafPhase, model: ResolvedModel,
     """Map one phase specification to a practice against a resolved kernel.
 
     Raises :class:`MappingError` for the first fault found, checking the
-    kernel's competencies and then, in passes over the specs in pre-order:
-    tags on a decomposed spec or a feed of an undeclared output; a feed that
-    needs a part; a decomposition nested too deeply, an undeclared role or
-    an unknown tag.
+    phase id, the kernel's competencies and then, in passes over the specs
+    in pre-order: tags on a decomposed spec or a feed of an undeclared
+    output; a feed that needs a part; a decomposition nested too deeply, an
+    undeclared role or an unknown tag.
 
     The undeclared-output and undeclared-role checks guard library callers
     that pass a phase the model did not resolve: for every phase of a
@@ -98,6 +98,9 @@ def map_phase(spec: TogafPhase, model: ResolvedModel,
     """
     config = config or CheckConfig()
 
+    if spec.phase not in PHASE_PRACTICE_NAMES:
+        raise MappingError(f"phase id {spec.phase!r} is not one of "
+                           + ", ".join(PHASE_PRACTICE_NAMES))
     missing = [name for name in TAG_COMPETENCIES.values()
                if name not in model.competencies]
     if missing:
@@ -192,7 +195,7 @@ def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ..
             if declared is not None:
                 level = declared
         requires.append(CompetencyGrade(competency=name, level=level))
-        areas[model.competency_area(name)] += 1
+        areas[model.competencies[name].area] += 1
 
     return Activity(
         name=activity.name,

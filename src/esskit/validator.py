@@ -18,10 +18,17 @@ from .diagnostics import Diagnostic, Record, ResolveError, Severity, ordered
 from .model import (
     Activity,
     ActivitySpec,
+    Alpha,
+    AlphaState,
     Area,
+    Competency,
+    Method,
     ModelDocument,
     Practice,
+    Role,
     Space,
+    TogafPhase,
+    WorkProduct,
     element_id,
     walk_specs,
 )
@@ -81,20 +88,21 @@ class ResolvedModel:
 
     def __init__(self, document: ModelDocument) -> None:
         self.document = document
-        self.alphas = {a.name: a for k in document.kernels() for a in k.alphas()}
-        self.competencies = {c.name: c for k in document.kernels()
-                             for c in k.competencies()}
-        self.kernel_spaces = {s.name: s for k in document.kernels()
-                              for s in k.spaces()}
-        self.kernel_work_products = {w.name: w for k in document.kernels()
-                                     for w in k.work_products()}
-        self.roles = {r.name: r for r in document.roles()}
-        self.practices = {p.name: p for p in document.practices()}
+        # Kernel members and declarations are the walk's parentless entries;
+        # the last of a name wins, in the name's first-seen slot.
+        tables = {kind: {} for kind in (Alpha, Competency, Space, WorkProduct,
+                                        Role, Practice)}
+        for _, element, parent_id, _ in document.walk():
+            if parent_id is None and type(element) in tables:
+                tables[type(element)][element.name] = element
+        self.alphas = tables[Alpha]
+        self.competencies = tables[Competency]
+        self.kernel_spaces = tables[Space]
+        self.kernel_work_products = tables[WorkProduct]
+        self.roles = tables[Role]
+        self.practices = tables[Practice]
         self.competency_order = {name: i for i, name
                                  in enumerate(self.competencies)}
-
-    def competency_area(self, name: str) -> Area:
-        return self.competencies[name].area
 
 
 def resolve(document: ModelDocument) -> ResolvedModel:
@@ -119,64 +127,52 @@ def resolve(document: ModelDocument) -> ResolvedModel:
             rule=DANGLING_REFERENCE, severity=Severity.ERROR, path=path,
             message=f"reference to undeclared {kind} {name!r}", span=span))
 
-    for kernel in document.kernels():
-        for alpha in kernel.alphas():
-            alpha_id = element_id(alpha)
-            for state in alpha.states:
-                seen: set[str] = set()
-                for text in state.checklist:
-                    if text in seen:
-                        diagnostics.append(Diagnostic(
-                            rule=DUPLICATE_NAME, severity=Severity.ERROR,
-                            path=element_id(state, alpha_id),
-                            message=f"duplicate checklist item {text!r}",
-                            span=state.span))
-                    seen.add(text)
-        for space in kernel.spaces():
-            if space.parent is not None and space.parent not in model.kernel_spaces:
-                dangling(element_id(space), space.span, "space", space.parent)
-
-    for role in document.roles():
-        for grade in role.competencies:
-            if grade.competency not in model.competencies:
-                dangling(element_id(role), role.span, "competency", grade.competency)
-
     # The walk lists every activity after the practice that owns it.
     local_wps: set[str] = set()
-    for activity_id, element, _, _ in document.walk():
-        if isinstance(element, Practice):
+    for ident, element, parent_id, _ in document.walk():
+        if isinstance(element, AlphaState):
+            seen: set[str] = set()
+            for text in element.checklist:
+                if text in seen:
+                    diagnostics.append(Diagnostic(
+                        rule=DUPLICATE_NAME, severity=Severity.ERROR, path=ident,
+                        message=f"duplicate checklist item {text!r}",
+                        span=element.span))
+                seen.add(text)
+        elif isinstance(element, Space):
+            if (parent_id is None and element.parent is not None
+                    and element.parent not in model.kernel_spaces):
+                dangling(ident, element.span, "space", element.parent)
+        elif isinstance(element, Role):
+            for grade in element.competencies:
+                if grade.competency not in model.competencies:
+                    dangling(ident, element.span, "competency", grade.competency)
+        elif isinstance(element, Practice):
             local_wps = {wp.name for wp in element.outputs}
-        if not isinstance(element, Activity):
-            continue
-        for grade in element.requires:
-            if grade.competency not in model.competencies:
-                dangling(activity_id, element.span, "competency", grade.competency)
-        if element.role is not None and element.role not in model.roles:
-            dangling(activity_id, element.span, "role", element.role)
-        for contribution in element.produces:
-            name = contribution.work_product
-            if name not in local_wps and name not in model.kernel_work_products:
-                dangling(activity_id, element.span, "work product", name)
-
-    for method in document.methods():
-        method_id = element_id(method)
-        referenced = list(method.cycle) + list(method.concurrent)
-        if method.preamble is not None:
-            referenced.append(method.preamble)
-        for name in referenced:
-            if name not in model.practices:
-                dangling(method_id, method.span, "practice", name)
-
-    for phase in document.phases():
-        declared = {wp.name for wp in phase.outputs}
-        for path, spec, _, _ in walk_specs(phase):
-            if not isinstance(spec, ActivitySpec):
-                continue
-            for contribution in spec.feeds:
-                if contribution.work_product not in declared:
-                    dangling(path, spec.span, "output", contribution.work_product)
-            if spec.role is not None and spec.role not in model.roles:
-                dangling(path, spec.span, "role", spec.role)
+        elif isinstance(element, Activity):
+            for grade in element.requires:
+                if grade.competency not in model.competencies:
+                    dangling(ident, element.span, "competency", grade.competency)
+            if element.role is not None and element.role not in model.roles:
+                dangling(ident, element.span, "role", element.role)
+            for contribution in element.produces:
+                name = contribution.work_product
+                if name not in local_wps and name not in model.kernel_work_products:
+                    dangling(ident, element.span, "work product", name)
+        elif isinstance(element, Method):
+            for name in (element.preamble, *element.cycle, *element.concurrent):
+                if name is not None and name not in model.practices:
+                    dangling(ident, element.span, "practice", name)
+        elif isinstance(element, TogafPhase):
+            declared = {wp.name for wp in element.outputs}
+            for path, spec, _, _ in walk_specs(element):
+                if not isinstance(spec, ActivitySpec):
+                    continue
+                for contribution in spec.feeds:
+                    if contribution.work_product not in declared:
+                        dangling(path, spec.span, "output", contribution.work_product)
+                if spec.role is not None and spec.role not in model.roles:
+                    dangling(path, spec.span, "role", spec.role)
 
     if any(d.is_error for d in diagnostics):
         raise ResolveError(ordered(diagnostics))
@@ -205,7 +201,6 @@ def check_wellformedness(model: ResolvedModel,
     """Every V010-V017 violation in the model, ordered by source position
     (see :func:`esskit.diagnostics.ordered`)."""
     config = config or CheckConfig()
-    document = model.document
     diagnostics: list[Diagnostic] = []
 
     def report(rule: str, severity: Severity, path: str, message: str, span) -> None:
@@ -214,44 +209,36 @@ def check_wellformedness(model: ResolvedModel,
 
     _check_kernel_space_nesting(model, config, report)
 
-    for kernel in document.kernels():
-        for competency in kernel.competencies():
-            if not 1 <= competency.max_level <= 5:
-                report(LEVEL_OUT_OF_RANGE, Severity.ERROR, element_id(competency),
-                       f"competency level bound {competency.max_level} "
-                       "is outside 1..5", competency.span)
-
-    for role in document.roles():
-        for grade in role.competencies:
-            bound = _level_bound(model, grade.competency)
-            if not 1 <= grade.level <= bound:
-                report(LEVEL_OUT_OF_RANGE, Severity.ERROR, element_id(role),
-                       f"level {grade.level} for competency "
-                       f"{grade.competency!r} is outside 1..{bound}", role.span)
-
-    for practice in document.practices():
-        practice_id = element_id(practice)
-        if not practice.goals:
-            report(PRACTICE_WITHOUT_GOAL, Severity.ERROR, practice_id,
-                   "practice declares no goal", practice.span)
-
-        _check_contribution_parts(practice, practice_id, report)
-
-        profile = compute_area_profile(model, practice)
-        if profile.plurality and practice.area not in profile.plurality:
-            leaders = ", ".join(sorted(a.value for a in profile.plurality))
-            report(AREA_MISMATCH, Severity.WARNING, practice_id,
-                   f"declared area {practice.area.value} but element counts "
-                   f"favor {leaders}", practice.span)
-
-    for method in document.methods():
-        for message in method.shape_errors():
-            report(UNENACTABLE_METHOD, Severity.ERROR, element_id(method), message,
-                   method.span)
-
-    for ident, element, parent_id, depth in document.walk():
+    for ident, element, parent_id, depth in model.document.walk():
+        if isinstance(element, Competency):
+            if not 1 <= element.max_level <= 5:
+                report(LEVEL_OUT_OF_RANGE, Severity.ERROR, ident,
+                       f"competency level bound {element.max_level} "
+                       "is outside 1..5", element.span)
+        elif isinstance(element, Role):
+            for grade in element.competencies:
+                bound = _level_bound(model, grade.competency)
+                if not 1 <= grade.level <= bound:
+                    report(LEVEL_OUT_OF_RANGE, Severity.ERROR, ident,
+                           f"level {grade.level} for competency "
+                           f"{grade.competency!r} is outside 1..{bound}", element.span)
+        elif isinstance(element, Practice):
+            if not element.goals:
+                report(PRACTICE_WITHOUT_GOAL, Severity.ERROR, ident,
+                       "practice declares no goal", element.span)
+            _check_contribution_parts(element, ident, report)
+            profile = compute_area_profile(model, element)
+            if profile.plurality and element.area not in profile.plurality:
+                leaders = ", ".join(sorted(a.value for a in profile.plurality))
+                report(AREA_MISMATCH, Severity.WARNING, ident,
+                       f"declared area {element.area.value} but element counts "
+                       f"favor {leaders}", element.span)
+        elif isinstance(element, Method):
+            for message in element.shape_errors():
+                report(UNENACTABLE_METHOD, Severity.ERROR, ident, message,
+                       element.span)
         # Kernel spaces have no parent here; they nest by name, checked above.
-        if isinstance(element, Space) and parent_id is not None:
+        elif isinstance(element, Space) and parent_id is not None:
             if depth > config.max_nesting_depth:
                 report(NESTING_TOO_DEEP, Severity.ERROR, ident,
                        f"space nested at depth {depth} exceeds the maximum of "

@@ -13,9 +13,12 @@ from esskit.diagnostics import ParseError
 from esskit.model import (
     Activity,
     ActivitySpec,
+    Alpha,
+    AlphaState,
     Area,
     Contribution,
     Kernel,
+    Method,
     ModelDocument,
     Practice,
     Role,
@@ -36,14 +39,13 @@ def _diagnostics(source: str):
 
 def test_minimal_kernel():
     document = dsl.parse('kernel "K" { area Customer color green }')
-    kernel = document.kernels()[0]
-    assert [a.area for a in kernel.areas()] == [Area.CUSTOMER]
+    assert [a.area for a in document.iter_elements("area")] == [Area.CUSTOMER]
 
 
 def test_ident_underscores_decode_to_spaces():
     document = dsl.parse(
         'kernel "K" { competency Stakeholder_Representation area Customer }')
-    competency = document.kernels()[0].competencies()[0]
+    (competency,) = document.declarations[0].members
     assert competency.name == "Stakeholder Representation"
     assert competency.max_level == 5
 
@@ -134,7 +136,7 @@ def test_produces_splits_on_first_colon():
 def test_crlf_and_comments_accepted():
     source = 'kernel "K" {\r\n  # comment\r\n  area Customer color green\r\n}\r\n'
     document = dsl.parse(source)
-    assert len(document.kernels()[0].areas()) == 1
+    assert len(document.declarations[0].members) == 1
 
 
 def test_empty_document():
@@ -232,8 +234,23 @@ def _phase(phase: str = "A", tags: tuple[str, ...] = ("builds",)) -> TogafPhase:
     (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
         Space(name="S"), Space(name="T", parent="S")))]),
      "space block cannot write the parent of space 'T'"),
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=())]),
+     "practice block of practice 'P' requires at least one 'goal' clause"),
+    (ModelDocument([Role(name="R", competencies=())]),
+     "role block of role 'R' requires at least one 'competency' clause"),
+    (ModelDocument([Method(name="M", cycle=())]),
+     "method block of method 'M' requires at least one 'cycle' clause"),
+    (ModelDocument([Kernel(name="K", members=(Alpha(name="A", area=Area.CUSTOMER, states=()),))]),
+     "alpha block of alpha 'A' requires at least one 'state' clause"),
+    (ModelDocument([Kernel(name="K", members=(Alpha(name="A", area=Area.CUSTOMER, states=(
+        AlphaState(name="S", checklist=()),)),))]),
+     "state block of state 'S' requires at least one 'check' clause"),
+    (ModelDocument([_phase(tags=())]), "activity 'x' requires a 'tag' clause or a sub-activity"),
+    (ModelDocument([_phase(tags=("builds", "verifies", "builds"))]),
+     "activity 'x' repeats a 'tag' clause"),
 ], ids=["word", "tag", "phase", "kernel-space-members", "practice-space-area",
-        "practice-space-parent"])
+        "practice-space-parent", "practice-goals", "role-competencies", "method-cycle",
+        "alpha-states", "state-checklist", "spec-without-tags", "spec-repeated-tag"])
 def test_render_refuses_values_the_parser_rejects(document, message):
     with pytest.raises(ValueError, match=message):
         render.render_canonical(document)
@@ -251,7 +268,7 @@ def test_deep_nesting_is_a_parse_error():
 def test_levels_zero_is_kept_and_out_of_range():
     document = dsl.parse('kernel "K" { competency Analysis area Solution levels 0 '
                          'competency Testing area Solution }')
-    assert [c.max_level for c in document.kernels()[0].competencies()] == [0, 5]
+    assert [c.max_level for c in document.iter_elements("competency")] == [0, 5]
     _, diagnostics = validator.check(document)
     assert [(d.rule, d.path) for d in diagnostics] == [("V013", "competency.analysis")]
 

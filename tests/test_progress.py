@@ -18,6 +18,7 @@ from esskit.progress import (
     Assessment,
     AssessmentError,
     EnactmentError,
+    EnactmentState,
     active_practices,
     assess_alpha,
     next_phase,
@@ -187,6 +188,23 @@ def test_method_shape_errors():
         start_enactment(Method(name="m", cycle=("a",), preamble="a"))
     with pytest.raises(EnactmentError, match="concurrent"):
         start_enactment(Method(name="m", cycle=("a", "b"), concurrent=("b",)))
+
+
+@pytest.mark.parametrize("state, message", [
+    (EnactmentState(method=Method(name="m", cycle=())), "method 'm' has an empty cycle"),
+    (EnactmentState(method=Method(name="m", cycle=(), preamble="p"), step=1),
+     "method 'm' has an empty cycle"),
+    (EnactmentState(method=Method(name="m", cycle=("a",)), step=-1),
+     "enactment step -1 is negative"),
+    (EnactmentState(method=Method(name="m", cycle=("a",), preamble="p"), step=-2),
+     "enactment step -2 is negative"),
+], ids=["empty-cycle", "empty-cycle-after-preamble", "negative-step",
+        "negative-step-with-preamble"])
+def test_directly_built_state_that_cannot_enact_raises(state, message):
+    for read in (lambda: state.current, lambda: state.iteration, lambda: state.trace,
+                 lambda: active_practices(state)):
+        with pytest.raises(EnactmentError, match=message):
+            read()
 
 
 def test_repeated_cycle_entries_are_visited_in_order():

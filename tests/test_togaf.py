@@ -147,6 +147,9 @@ def test_stub_phase_maps_to_bare_practice(fixture_model):
 
 
 def test_mapping_errors(fixture_model):
+    with pytest.raises(MappingError, match="phase id 'Z' is not one of P, A, "):
+        map_phase(_phase(phase="Z"), fixture_model)
+
     with pytest.raises(MappingError, match="undeclared output"):
         map_phase(_phase(steps=[StepSpec(name="S", activities=(
             ActivitySpec(name="a", tags=("builds",),

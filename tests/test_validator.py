@@ -17,6 +17,7 @@ from esskit.model import (
     Method,
     ModelDocument,
     Practice,
+    Role,
     Space,
     WorkProduct,
     merge,
@@ -348,6 +349,25 @@ def test_kernel_space_chain_declared_child_first_needs_no_recursion():
                                       "maximum of 3")
     _, relaxed = _check(source, CheckConfig(max_nesting_depth=10**6))
     assert relaxed == []
+
+
+def test_parentless_records_count_as_document_level():
+    # The walk lists kernel members and declarations with no parent, so a role
+    # among a kernel's members and a space among the declarations are both
+    # checked like the declarations and kernel members parse builds.
+    document = ModelDocument([
+        Kernel(name="K", members=(Role(name="R", competencies=(CompetencyGrade("X", 9),)),)),
+        Space(name="S", area=Area.CUSTOMER, parent="Nope")])
+    model, diagnostics = validator.check(document)
+    assert model is None
+    assert [(d.rule, d.path, d.message) for d in diagnostics] == [
+        ("V001", "role.r", "reference to undeclared competency 'X'"),
+        ("V001", "space.s", "reference to undeclared space 'Nope'")]
+    unresolved = validator.ResolvedModel(document)
+    assert (list(unresolved.roles), list(unresolved.kernel_spaces)) == (["R"], ["S"])
+    assert [(d.rule, d.path, d.message)
+            for d in validator.check_wellformedness(unresolved)] == [
+        ("V013", "role.r", "level 9 for competency 'X' is outside 1..5")]
 
 
 def _corpus_line_mutations(count: int, seed: int):
