@@ -238,9 +238,9 @@ def _cmd_enact(args) -> int:
 
     try:
         if args.trace:
-            state = progress.start_enactment(method)
-            for _ in range(max(args.steps - 1, 0)):
-                state = progress.next_phase(state)
+            # start_enactment validates the method; the trace is closed-form.
+            progress.start_enactment(method)
+            state = progress.EnactmentState(method=method, step=max(args.steps - 1, 0))
             for iteration, practice_id in state.trace:
                 print(f"{iteration} {label(practice_id)}")
         else:

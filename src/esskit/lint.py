@@ -18,7 +18,7 @@ import re
 from typing import Iterable
 
 from .diagnostics import Diagnostic, Record, Severity, ordered
-from .model import Activity, ModelDocument, Practice, Space, WorkProduct, element_id
+from .model import Activity, ModelDocument, Practice, Role, Space, WorkProduct
 from .validator import ResolvedModel
 
 _WS = re.compile(r"\s+")
@@ -88,59 +88,55 @@ def run_lints(model: ResolvedModel,
         found.append(Diagnostic(rule=rule, severity=Severity.WARNING,
                                 path=path, message=message, span=span))
 
+    # A parentless practice owns the entries after it up to the next
+    # parentless entry: its outputs, then its spaces and their activities.
+    roles: list[tuple[str, Role]] = []
+    # (practice, output id, output, what the practice's activities produce)
+    outputs: list[tuple[Practice, str, WorkProduct, set[str]]] = []
+    assigned: set[str | None] = set()
+    practice = practice_id = produced = None
+    for ident, element, parent_id, _ in document.walk():
+        if parent_id is None:
+            practice = practice_id = None
+            if isinstance(element, Role):
+                roles.append((ident, element))
+            elif isinstance(element, Practice):
+                practice, practice_id, produced = element, ident, set()
+        elif isinstance(element, Activity) and practice is not None:
+            assigned.add(element.role)
+            produced.update(c.work_product for c in element.produces)
+        elif isinstance(element, WorkProduct) and parent_id == practice_id:
+            outputs.append((practice, ident, element, produced))
+
     if "L001" in active:
-        _lint_unfed(document, report)
+        for practice, ident, wp, produced in outputs:
+            if wp.name not in produced:
+                report("L001", ident,
+                       f"output {wp.name!r} is not produced by any activity "
+                       f"of practice {practice.name!r}", wp.span)
     if "L002" in active:
-        _lint_multiply_defined(document, report)
+        by_name: dict[str, list[tuple[Practice, str, WorkProduct, set[str]]]] = {}
+        for output in outputs:
+            by_name.setdefault(output[2].name, []).append(output)
+        for name, declared in by_name.items():
+            if len({(wp.category, _norm_description(wp.description))
+                    for _, _, wp, _ in declared}) < 2:
+                continue
+            places = ", ".join(repr(practice.name) for practice, _, _, _ in declared)
+            for _, ident, wp, _ in declared:
+                report("L002", ident,
+                       f"work product {name!r} is defined with conflicting "
+                       f"requirements across practices {places}", wp.span)
     if "L003" in active:
-        _lint_unassigned_roles(document, report)
+        for ident, role in roles:
+            if role.name not in assigned:
+                report("L003", ident,
+                       f"role {role.name!r} is never named responsible for any "
+                       "activity", role.span)
     if "L004" in active:
         _lint_opaque_spaces(document, report)
 
     return ordered(found)
-
-
-def _lint_unfed(document: ModelDocument, report) -> None:
-    for practice in document.practices():
-        practice_id = element_id(practice)
-        produced = {c.work_product
-                    for a in practice.all_activities() for c in a.produces}
-        for wp in practice.outputs:
-            if wp.name not in produced:
-                report("L001", element_id(wp, practice_id),
-                       f"output {wp.name!r} is not produced by any activity "
-                       f"of practice {practice.name!r}", wp.span)
-
-
-def _lint_multiply_defined(document: ModelDocument, report) -> None:
-    by_name: dict[str, list[tuple[Practice, WorkProduct]]] = {}
-    for practice in document.practices():
-        for wp in practice.outputs:
-            by_name.setdefault(wp.name, []).append((practice, wp))
-    for name, declared in by_name.items():
-        if len(declared) < 2:
-            continue
-        shapes = {(wp.category, _norm_description(wp.description))
-                  for _, wp in declared}
-        if len(shapes) < 2:
-            continue
-        places = ", ".join(repr(p.name) for p, _ in declared)
-        for practice, wp in declared:
-            report("L002", element_id(wp, element_id(practice)),
-                   f"work product {name!r} is defined with conflicting "
-                   f"requirements across practices {places}", wp.span)
-
-
-def _lint_unassigned_roles(document: ModelDocument, report) -> None:
-    assigned = {activity.role
-                for practice in document.practices()
-                for activity in practice.all_activities()
-                if activity.role is not None}
-    for role in document.roles():
-        if role.name not in assigned:
-            report("L003", element_id(role),
-                   f"role {role.name!r} is never named responsible for any "
-                   "activity", role.span)
 
 
 def _lint_opaque_spaces(document: ModelDocument, report) -> None:

@@ -242,24 +242,6 @@ class Practice(Record, hidden=("span",)):
     members: tuple[Space | Activity, ...] = ()
     span: SourceSpan | None = None
 
-    def spaces(self) -> tuple[Space, ...]:
-        return tuple(m for m in self.members if isinstance(m, Space))
-
-    def all_activities(self) -> Iterator[Activity]:
-        """Every activity of the practice, in source order."""
-        return _activities_under(self.members)
-
-
-def _activities_under(members) -> Iterator[Activity]:
-    # Pre-order from an explicit stack, so nesting depth costs no recursion.
-    stack = list(reversed(members))
-    while stack:
-        member = stack.pop()
-        if isinstance(member, Activity):
-            yield member
-        else:
-            stack.extend(reversed(member.members))
-
 
 class Role(Record, hidden=("span",)):
     kind: ClassVar[str] = "role"
@@ -485,14 +467,8 @@ class ModelDocument:
 
     # Convenience accessors over top-level declarations.
 
-    def practices(self) -> tuple[Practice, ...]:
-        return tuple(d for d in self.declarations if isinstance(d, Practice))
-
     def methods(self) -> tuple[Method, ...]:
         return tuple(d for d in self.declarations if isinstance(d, Method))
-
-    def roles(self) -> tuple[Role, ...]:
-        return tuple(d for d in self.declarations if isinstance(d, Role))
 
     def phases(self) -> tuple[TogafPhase, ...]:
         return tuple(d for d in self.declarations if isinstance(d, TogafPhase))

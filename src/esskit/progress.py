@@ -162,15 +162,15 @@ def visitation(method: Method, steps: int) -> list[str]:
 
 
 def practice_progress(practice: Practice, done: Iterable[str]) -> float:
-    """Fraction of the practice's activities in ``done`` (activity ids).
+    """Fraction of the practice's distinct activity ids in ``done``.
 
     A practice with no activities reports 1.0 (vacuously complete). A done
     id that is not one of the practice's activities raises ValueError.
     """
-    ids = [ident for ident, element, _, _ in walk_element(practice)
-           if isinstance(element, Activity)]
+    ids = {ident for ident, element, _, _ in walk_element(practice)
+           if isinstance(element, Activity)}
     done = set(done)
-    foreign = done - set(ids)
+    foreign = done - ids
     if foreign:
         raise ValueError(
             "done set contains activities not in practice "

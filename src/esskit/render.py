@@ -33,8 +33,9 @@ from .model import (
     walk_specs,
 )
 
-# Full matches of the lexer's own IDENT pattern.
+# Full matches of the lexer's own IDENT and INT patterns.
 _IDENT = re.compile(_TOKEN_PATTERNS["IDENT"], re.VERBOSE).fullmatch
+_INT = re.compile(_TOKEN_PATTERNS["INT"]).fullmatch
 
 
 def _string(value: str) -> str:
@@ -50,6 +51,12 @@ def _ident(name: str) -> str:
     if _IDENT(encoded) is None:
         raise ValueError(f"name {name!r} is not representable as an identifier")
     return encoded
+
+
+def _int(level: int) -> str:
+    if _INT(str(level)) is None:
+        raise ValueError(f"level {level!r} is not representable as an integer")
+    return str(level)
 
 
 def _word(text: str) -> str:
@@ -69,7 +76,7 @@ def _one_of(what: str, choices: tuple[str, ...]):
 
 # One writer per value kind of the grammar.
 _WRITERS = {
-    "int": str,
+    "int": _int,
     "word": _word,
     "tag": _one_of("activity tag", ACTIVITY_TAGS),
     "phase": _one_of("phase id", PHASE_IDS),
@@ -79,7 +86,7 @@ _WRITERS = {
     "area": lambda area: _ident(area.value),
     "color": lambda area: area.color,
     "category": lambda category: category.value,
-    "grade": lambda grade: f"{_ident(grade.competency)} @ {grade.level}",
+    "grade": lambda grade: f"{_ident(grade.competency)} @ {_int(grade.level)}",
     "contribution": lambda contribution: _string(contribution.rendered_name()),
 }
 

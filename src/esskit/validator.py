@@ -30,6 +30,7 @@ from .model import (
     TogafPhase,
     WorkProduct,
     element_id,
+    walk_element,
     walk_specs,
 )
 
@@ -185,14 +186,20 @@ def compute_area_profile(model: ResolvedModel, practice: Practice) -> AreaProfil
     A requirement of a competency the model does not declare counts in no
     area, so a model built without :func:`resolve` still gets a profile.
     """
+    return _area_profile(model, practice, walk_element(practice))
+
+
+def _area_profile(model: ResolvedModel, practice: Practice, walk) -> AreaProfile:
+    """The profile over ``walk``, the practice's walk entries (it at depth 0)."""
     counts = dict.fromkeys(Area, 0)
-    for space in practice.spaces():
-        counts[space.area or practice.area] += 1
-    for activity in practice.all_activities():
-        for grade in activity.requires:
-            declared = model.competencies.get(grade.competency)
-            if declared is not None:
-                counts[declared.area] += 1
+    for _, element, _, depth in walk:
+        if isinstance(element, Space) and depth == 1:
+            counts[element.area or practice.area] += 1
+        elif isinstance(element, Activity):
+            for grade in element.requires:
+                declared = model.competencies.get(grade.competency)
+                if declared is not None:
+                    counts[declared.area] += 1
     return AreaProfile(counts)
 
 
@@ -209,7 +216,14 @@ def check_wellformedness(model: ResolvedModel,
 
     _check_kernel_space_nesting(model, config, report)
 
-    for ident, element, parent_id, depth in model.document.walk():
+    # A parentless entry starts its own walk, which runs up to the next
+    # parentless entry; V014 and V015 read each practice's walk after the pass.
+    practices: list[tuple[str, Practice, list]] = []
+    for entry in model.document.walk():
+        ident, element, parent_id, depth = entry
+        if parent_id is None:
+            contents = []
+        contents.append(entry)
         if isinstance(element, Competency):
             if not 1 <= element.max_level <= 5:
                 report(LEVEL_OUT_OF_RANGE, Severity.ERROR, ident,
@@ -226,13 +240,8 @@ def check_wellformedness(model: ResolvedModel,
             if not element.goals:
                 report(PRACTICE_WITHOUT_GOAL, Severity.ERROR, ident,
                        "practice declares no goal", element.span)
-            _check_contribution_parts(element, ident, report)
-            profile = compute_area_profile(model, element)
-            if profile.plurality and element.area not in profile.plurality:
-                leaders = ", ".join(sorted(a.value for a in profile.plurality))
-                report(AREA_MISMATCH, Severity.WARNING, ident,
-                       f"declared area {element.area.value} but element counts "
-                       f"favor {leaders}", element.span)
+            if parent_id is None:
+                practices.append((ident, element, contents))
         elif isinstance(element, Method):
             for message in element.shape_errors():
                 report(UNENACTABLE_METHOD, Severity.ERROR, ident, message,
@@ -255,6 +264,15 @@ def check_wellformedness(model: ResolvedModel,
                            f"required level {grade.level} for "
                            f"{grade.competency!r} is outside 1..{bound}",
                            element.span)
+
+    for ident, practice, contents in practices:
+        _check_contribution_parts(practice, contents, report)
+        profile = _area_profile(model, practice, contents)
+        if profile.plurality and practice.area not in profile.plurality:
+            leaders = ", ".join(sorted(a.value for a in profile.plurality))
+            report(AREA_MISMATCH, Severity.WARNING, ident,
+                   f"declared area {practice.area.value} but element counts "
+                   f"favor {leaders}", practice.span)
 
     return ordered(diagnostics)
 
@@ -299,17 +317,18 @@ def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
                    f"{config.max_nesting_depth}", space.span)
 
 
-def _check_contribution_parts(practice: Practice, practice_id: str, report) -> None:
+def _check_contribution_parts(practice: Practice, walk: list, report) -> None:
     contributions: dict[str, list[tuple[Activity, str | None]]] = {}
-    for activity in practice.all_activities():
-        for contribution in activity.produces:
-            contributions.setdefault(contribution.work_product, []).append(
-                (activity, contribution.part))
-    for wp in practice.outputs:
+    for _, element, _, _ in walk:
+        if isinstance(element, Activity):
+            for contribution in element.produces:
+                contributions.setdefault(contribution.work_product, []).append(
+                    (element, contribution.part))
+    # The walk lists a practice's outputs right after the practice.
+    for wp_path, wp, _, _ in walk[1:len(practice.outputs) + 1]:
         feeders = contributions.get(wp.name, [])
         if len(feeders) < 2:
             continue
-        wp_path = element_id(wp, practice_id)
         nameless = [a.name for a, part in feeders if not part]
         if nameless:
             report(MISSING_PART_TEXT, Severity.ERROR, wp_path,

@@ -45,8 +45,8 @@ def test_criterion_1_corpus_integrity(tmp_path, capsys, manifest):
     assert len(corpus.iter_elements("alpha")) == kernel["alphas"]
     assert len(corpus.iter_elements("competency")) == kernel["competencies"] == 7
     assert len(corpus.phases()) == 10
-    assert len(corpus.practices()) == manifest["practices"]
-    assert len(corpus.roles()) == manifest["roles"]
+    assert len(corpus.iter_elements("practice")) == manifest["practices"]
+    assert len(corpus.iter_elements("role")) == manifest["roles"]
     assert len(corpus.methods()) == manifest["methods"]
     for phase in corpus.phases():
         entry = manifest["phases"][phase.phase]
@@ -170,7 +170,7 @@ def test_criterion_7_validator_invariants(tmp_path, capsys):
         name="P2", area=practice.area, goals=practice.goals,
         members=practice.members + tuple(
             Space(name=s.name + " copy", goal=s.goal, members=s.members)
-            for s in practice.spaces()))
+            for s in practice.members))
     doubled_model = validator.resolve(ModelDocument(base.declarations + (doubled,)))
     assert validator.compute_area_profile(doubled_model, doubled).plurality \
            == single.plurality

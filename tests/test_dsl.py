@@ -16,6 +16,8 @@ from esskit.model import (
     Alpha,
     AlphaState,
     Area,
+    Competency,
+    CompetencyGrade,
     Contribution,
     Kernel,
     Method,
@@ -118,7 +120,7 @@ def test_invalid_escape():
 
 def test_escaped_quote_round_trips():
     document = dsl.parse('role "The \\"Board\\"" { competency Analysis @ 3 }')
-    role = document.roles()[0]
+    (role,) = document.declarations
     assert role.name == 'The "Board"'
     assert dsl.parse(render.render_canonical(document)) == document
 
@@ -127,7 +129,7 @@ def test_produces_splits_on_first_colon():
     document = dsl.parse(
         'practice "P" area Customer { goal "g" output "W" space "S" {\n'
         '  activity "a" produces "W: left: right"\n} }')
-    activity = next(document.practices()[0].all_activities())
+    (activity,) = document.iter_elements("activity")
     contribution = activity.produces[0]
     assert contribution.work_product == "W"
     assert contribution.part == "left: right"
@@ -147,14 +149,14 @@ def test_empty_document():
 
 def test_practice_output_category_defaults_to_other():
     document = dsl.parse('practice "P" area Customer { goal "g" output "W" }')
-    wp = document.practices()[0].outputs[0]
+    (wp,) = document.declarations[0].outputs
     assert wp.category is WorkProductCategory.OTHER
 
 
 def test_corpus_parses_with_expected_shape(corpus):
     assert len(corpus.iter_elements("area")) == 3
     assert len(corpus.iter_elements("competency")) == 7
-    assert len(corpus.practices()) == 10
+    assert len(corpus.iter_elements("practice")) == 10
     assert len(corpus.methods()) == 1
 
 
@@ -248,9 +250,22 @@ def _phase(phase: str = "A", tags: tuple[str, ...] = ("builds",)) -> TogafPhase:
     (ModelDocument([_phase(tags=())]), "activity 'x' requires a 'tag' clause or a sub-activity"),
     (ModelDocument([_phase(tags=("builds", "verifies", "builds"))]),
      "activity 'x' repeats a 'tag' clause"),
+    (ModelDocument([Role(name="R", competencies=(CompetencyGrade("A", -1),))]),
+     "level -1 is not representable as an integer"),
+    (ModelDocument([Role(name="R", competencies=(CompetencyGrade("A", True),))]),
+     "level True is not representable as an integer"),
+    (ModelDocument([Kernel(name="K", members=(
+        Competency(name="A", area=Area.SOLUTION, max_level=-2),))]),
+     "level -2 is not representable as an integer"),
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S", members=(Activity(name="a", requires=(
+            CompetencyGrade("A", -3),)),)),))]),
+     "level -3 is not representable as an integer"),
 ], ids=["word", "tag", "phase", "kernel-space-members", "practice-space-area",
         "practice-space-parent", "practice-goals", "role-competencies", "method-cycle",
-        "alpha-states", "state-checklist", "spec-without-tags", "spec-repeated-tag"])
+        "alpha-states", "state-checklist", "spec-without-tags", "spec-repeated-tag",
+        "role-negative-level", "role-bool-level", "competency-negative-levels",
+        "activity-negative-requires"])
 def test_render_refuses_values_the_parser_rejects(document, message):
     with pytest.raises(ValueError, match=message):
         render.render_canonical(document)

@@ -145,10 +145,12 @@ def test_no_function_recurses_outside_the_grammar_walkers():
 
 def test_scan_flags_a_function_that_calls_itself():
     source = (PACKAGE / "model.py").read_text(encoding="utf-8")
-    mutated = source.replace("            stack.extend(reversed(member.members))",
-                             "            yield from _activities_under(member.members)")
+    mutated = source.replace("        stack.extend((child, chain + (child.name,), own_id)\n"
+                             "                     for child in reversed(children))",
+                             "        for child in children:\n"
+                             "            yield from walk_specs(child)")
     assert mutated != source
-    assert _self_calls(mutated) == ["_activities_under"]
+    assert _self_calls(mutated) == ["walk_specs"]
     assert _self_calls("def f(n):\n    return g(n) + other.f(n)\n"
                        "class C:\n    def m(self):\n        return self.m()\n"
                        "def outer():\n    def inner():\n        inner()\n") == [

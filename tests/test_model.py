@@ -441,7 +441,8 @@ def test_activity_iterators_keep_source_order_without_recursion():
                         members=(inner, Space(name="last", members=(Activity(name="z"),))))
     expected = [f"a{level}" for level in range(depth - 1, 0, -1)] + ["deepest"]
     assert [e.name for _, e, _, _ in walk_element(inner) if e.kind == "activity"] == expected
-    assert [a.name for a in practice.all_activities()] == expected + ["z"]
+    assert [e.name for _, e, _, _ in walk_element(practice)
+            if e.kind == "activity"] == expected + ["z"]
 
 
 def test_walk_of_deep_nesting_carries_ids_parents_and_depths():

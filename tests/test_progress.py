@@ -247,6 +247,10 @@ def test_progress_ratios():
     assert practice_progress(FOUR_ACTIVITIES, set()) == 0.0
     assert practice_progress(FOUR_ACTIVITIES, set(A_IDS)) == 1.0
     assert practice_progress(FOUR_ACTIVITIES, set(A_IDS[:3])) == 0.75
+    # Two activities that share an id are one id to be done.
+    shared = Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S", members=(Activity(name="a"), Activity(name="a"))),))
+    assert practice_progress(shared, {"practice.p/space.s/activity.a"}) == 1.0
 
 
 def test_progress_vacuous_completion():

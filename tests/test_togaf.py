@@ -51,6 +51,11 @@ def fixture_model():
     return validator.resolve(dsl.parse(MAPPING_FIXTURE, "mapping-fixture"))
 
 
+def activities_of(practice) -> list[Activity]:
+    """Every activity of ``practice``, in source order."""
+    return [e for _, e, _, _ in walk_element(practice) if isinstance(e, Activity)]
+
+
 def _phase(steps=(), outputs=(), phase="A", objective="obj") -> TogafPhase:
     return TogafPhase(phase=phase, name="Fixture", objective=objective,
                       steps=tuple(steps), outputs=tuple(outputs))
@@ -68,8 +73,8 @@ def test_minimal_phase_maps_to_minimal_practice(fixture_model):
     practice = map_phase(spec, fixture_model)
     assert practice.name == "Phase A"
     assert practice.goals == ("obj",)
-    assert len(practice.spaces()) == 1
-    activities = list(practice.all_activities())
+    assert [m.kind for m in practice.members] == ["space"]
+    activities = activities_of(practice)
     assert len(activities) == 1
     assert activities[0].requires == (
         CompetencyGrade("Stakeholder Representation", 3),)
@@ -86,7 +91,7 @@ def test_decomposed_activity_becomes_nested_space(fixture_model):
         )),))])
     practice = map_phase(spec, fixture_model)
     below = [(element.kind, element.name, depth)
-             for _, element, _, depth in walk_element(practice.spaces()[0])]
+             for _, element, _, depth in walk_element(practice.members[0])]
     assert below == [("space", "Step", 0), ("space", "Identify Stakeholders", 1),
                      ("activity", "sub one", 2), ("activity", "sub two", 2),
                      ("activity", "sub three", 2)]
@@ -104,7 +109,7 @@ def test_colon_convention_for_multi_feeder_output(fixture_model):
         ))],
         outputs=[WorkProduct(name="Statement of Architecture Work")])
     practice = map_phase(spec, fixture_model)
-    rendered = [c.rendered_name() for a in practice.all_activities()
+    rendered = [c.rendered_name() for a in activities_of(practice)
                 for c in a.produces]
     assert rendered == ["Statement of Architecture Work: scope",
                         "Statement of Architecture Work: schedule"]
@@ -116,7 +121,7 @@ def test_endorsement_absorbs_stakeholder_tags(fixture_model):
                                            "endorses_requirements",
                                            "acquires_information")),))])
     practice = map_phase(spec, fixture_model)
-    activity = next(practice.all_activities())
+    (activity,) = activities_of(practice)
     competencies = [g.competency for g in activity.requires]
     assert "Analysis" in competencies
     assert "Stakeholder Representation" not in competencies
@@ -129,7 +134,7 @@ def test_role_overrides_default_level(fixture_model):
         ActivitySpec(name="plan", tags=("coordinates", "builds"),
                      role="Coordinator"),))])
     practice = map_phase(spec, fixture_model)
-    endorse, plan = list(practice.all_activities())
+    endorse, plan = activities_of(practice)
     assert endorse.requires[0] == endorse.requires[0].__class__("Analysis", 5)
     by_name = {g.competency: g.level for g in plan.requires}
     assert by_name == {"Development": 3, "Management": 2}
@@ -140,7 +145,7 @@ def test_stub_phase_maps_to_bare_practice(fixture_model):
     spec = _phase(phase="B", steps=(), outputs=())
     practice = map_phase(spec, fixture_model)
     assert practice.name == "Phase B"
-    assert practice.spaces() == ()
+    assert practice.members == ()
     merged = merge(dsl.parse(MAPPING_FIXTURE), ModelDocument([practice]))
     model, diagnostics = validator.check(merged)
     assert diagnostics == []
@@ -188,7 +193,7 @@ def test_mapping_errors(fixture_model):
                   fixture_model)
     relaxed = map_phase(_phase(steps=[StepSpec(name="S", activities=(deep,))]),
                         fixture_model, CheckConfig(max_nesting_depth=4))
-    nested = relaxed.spaces()[0].members[0]
+    nested = relaxed.members[0].members[0]
     assert (nested.kind, nested.name) == ("space", "d1")
 
 
@@ -340,7 +345,8 @@ def check_mapping_rules(spec: TogafPhase, model) -> None:
     assert practice.goals == (spec.objective,)
 
     # R2: step-to-space bijection, order preserved.
-    spaces = practice.spaces()
+    spaces = practice.members
+    assert [s.kind for s in spaces] == ["space"] * len(spec.steps)
     assert [s.name for s in spaces] == [s.name for s in spec.steps]
     for space, step in zip(spaces, spec.steps):
         assert space.goal == step.goal
@@ -351,7 +357,7 @@ def check_mapping_rules(spec: TogafPhase, model) -> None:
     # R5: outputs totality and the colon convention.
     assert practice.outputs == spec.outputs
     contributions: dict[str, list[Contribution]] = {}
-    for activity in practice.all_activities():
+    for activity in activities_of(practice):
         for c in activity.produces:
             contributions.setdefault(c.work_product, []).append(c)
     feed_count: dict[str, int] = {}
@@ -408,9 +414,9 @@ def test_corpus_counts_match_manifest(corpus, manifest):
     assert len(corpus.iter_elements("alpha")) == kernel["alphas"]
     assert len(corpus.iter_elements("state")) == kernel["alpha_states"]
     assert len(corpus.iter_elements("competency")) == kernel["competencies"]
-    assert len(corpus.roles()) == manifest["roles"]
+    assert len(corpus.iter_elements("role")) == manifest["roles"]
     assert len(corpus.methods()) == manifest["methods"]
-    assert len(corpus.practices()) == manifest["practices"]
+    assert len(corpus.iter_elements("practice")) == manifest["practices"]
     assert len(corpus.phases()) == len(manifest["phases"]) == 10
 
     for phase in corpus.phases():
@@ -425,17 +431,17 @@ def test_corpus_counts_match_manifest(corpus, manifest):
 def test_corpus_practices_are_the_mapper_output(corpus, corpus_model, manifest):
     regenerated = ModelDocument([map_phase(phase, corpus_model)
                                  for phase in corpus.phases()])
-    shipped = ModelDocument(corpus.practices())
+    shipped = ModelDocument(corpus.iter_elements("practice"))
     assert render.render_canonical(regenerated) == \
            render.render_canonical(shipped)
 
-    for practice, phase in zip(regenerated.practices(), corpus.phases()):
+    for practice, phase in zip(regenerated.declarations, corpus.phases()):
         mapped = manifest["phases"][phase.phase]["mapped"]
-        assert len(practice.spaces()) == mapped["top_spaces"]
+        assert len(practice.members) == mapped["top_spaces"]
         nested = sum(element.kind == "space" and depth > 1
                      for _, element, _, depth in walk_element(practice))
         assert nested == mapped["nested_spaces"]
-        assert sum(1 for _ in practice.all_activities()) == mapped["activities"]
+        assert len(activities_of(practice)) == mapped["activities"]
 
 
 def test_corpus_method_shape(corpus):

@@ -305,7 +305,7 @@ def test_plurality_invariant_under_duplication(kernel_model):
         name="P doubled", area=practice.area, goals=practice.goals,
         members=practice.members + tuple(
             Space(name=s.name + " copy", goal=s.goal, members=s.members)
-            for s in practice.spaces()))
+            for s in practice.members))
     doubled_model = validator.resolve(
         ModelDocument(base.declarations + (doubled,)))
     doubled_profile = validator.compute_area_profile(doubled_model, doubled)
@@ -353,10 +353,14 @@ def test_kernel_space_chain_declared_child_first_needs_no_recursion():
 
 def test_parentless_records_count_as_document_level():
     # The walk lists kernel members and declarations with no parent, so a role
-    # among a kernel's members and a space among the declarations are both
-    # checked like the declarations and kernel members parse builds.
+    # or a practice among a kernel's members and a space among the
+    # declarations are all checked and linted like the declarations and
+    # kernel members parse builds.
     document = ModelDocument([
-        Kernel(name="K", members=(Role(name="R", competencies=(CompetencyGrade("X", 9),)),)),
+        Kernel(name="K", members=(
+            Role(name="R", competencies=(CompetencyGrade("X", 9),)),
+            Practice(name="P", area=Area.CUSTOMER, goals=("g",),
+                     outputs=(WorkProduct(name="W"),)))),
         Space(name="S", area=Area.CUSTOMER, parent="Nope")])
     model, diagnostics = validator.check(document)
     assert model is None
@@ -364,10 +368,16 @@ def test_parentless_records_count_as_document_level():
         ("V001", "role.r", "reference to undeclared competency 'X'"),
         ("V001", "space.s", "reference to undeclared space 'Nope'")]
     unresolved = validator.ResolvedModel(document)
-    assert (list(unresolved.roles), list(unresolved.kernel_spaces)) == (["R"], ["S"])
+    assert (list(unresolved.roles), list(unresolved.practices),
+            list(unresolved.kernel_spaces)) == (["R"], ["P"], ["S"])
     assert [(d.rule, d.path, d.message)
             for d in validator.check_wellformedness(unresolved)] == [
         ("V013", "role.r", "level 9 for competency 'X' is outside 1..5")]
+    assert [(d.rule, d.path, d.message) for d in lint.run_lints(unresolved)] == [
+        ("L001", "practice.p/workproduct.w",
+         "output 'W' is not produced by any activity of practice 'P'"),
+        ("L003", "role.r", "role 'R' is never named responsible for any activity"),
+        ("L004", "space.s", "space 'S' has no goal and no activities")]
 
 
 def _corpus_line_mutations(count: int, seed: int):
