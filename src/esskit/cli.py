@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from enum import IntEnum
+from itertools import islice
 from pathlib import Path
 
 # Each command imports the other stages it runs, so a cold ``check`` loads
@@ -104,6 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
                           help="destination directory (default ./corpus)")
 
     return parser
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to standard output in full, so that a reader that closed
+    early raises ``BrokenPipeError`` (exit 3) also under ``python -u``, where
+    ``sys.stdout.buffer`` is the raw file and a short write drops the rest.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # a text-only stream, such as a redirect to io.StringIO
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _print_diagnostics(diagnostics) -> None:
@@ -211,7 +228,7 @@ def _cmd_map(args) -> int:
     except togaf.MappingError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
-    sys.stdout.write(render.render_canonical(ModelDocument(practices)))
+    _write(render.render_canonical(ModelDocument(practices)))
     return int(ExitStatus.OK)
 
 
@@ -241,14 +258,17 @@ def _cmd_enact(args) -> int:
             # start_enactment validates the method; the trace is closed-form.
             progress.start_enactment(method)
             state = progress.EnactmentState(method=method, step=max(args.steps - 1, 0))
-            for iteration, practice_id in state.trace:
-                print(f"{iteration} {label(practice_id)}")
+            lines = (f"{iteration} {label(practice_id)}\n"
+                     for iteration, practice_id in state.trace)
         else:
-            for practice_id in progress.visitation(method, args.steps):
-                print(label(practice_id))
+            lines = (f"{label(practice_id)}\n"
+                     for practice_id in progress.visitation(method, args.steps))
     except progress.EnactmentError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
+    # Bounded batches keep the output's memory flat for any --steps.
+    while batch := "".join(islice(lines, 4096)):
+        _write(batch)
     return int(ExitStatus.OK)
 
 
@@ -256,12 +276,12 @@ def _cmd_export(args) -> int:
     from . import lint, render
 
     if args.format == "dot":
-        sys.stdout.write(render.export_dot(_load(args, resolve=False)))
+        _write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
     model = _load(args)
     diagnostics = ordered([*validator.check_wellformedness(model, _config(args)),
                            *lint.run_lints(model)])
-    sys.stdout.write(render.export_json(model, diagnostics=diagnostics))
+    _write(render.export_json(model, diagnostics=diagnostics))
     return _exit_for(diagnostics, args.strict)
 
 

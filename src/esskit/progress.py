@@ -9,11 +9,13 @@ Enactment walks a method: the preamble practice (when present) runs exactly
 once, the cycle then repeats forever, and concurrent practices are active
 alongside whatever is current but are never themselves current and never
 complete. The trace records completions as (iteration, practice id) pairs
-and only ever grows.
+and only ever grows. Every position has a closed form, which the accessors
+read through C-level iterators instead of stepping a Python loop.
 """
 
 from __future__ import annotations
 
+from itertools import cycle, islice, product
 from typing import Iterable, Mapping
 
 from .diagnostics import Record
@@ -85,42 +87,39 @@ class EnactmentState(Record):
     method: Method
     step: int = 0
 
-    def _positions(self, steps: range) -> list[tuple[int, str]]:
-        """(iteration, practice id) at each enactment position in ``steps``."""
+    def _positions(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The preamble head (its id, or nothing) and the cycle's ids: position
+        ``len(head) + k`` is ``ids[k % len(ids)]`` in pass ``k // len(ids)``.
+        """
         method = self.method
         if not method.cycle:
             raise EnactmentError(f"method {method.name!r} has an empty cycle")
         if self.step < 0:
             raise EnactmentError(f"enactment step {self.step} is negative")
-        offset = 0 if method.preamble is None else 1
-        cycle = [dotted_id("practice", name) for name in method.cycle]
-        positions = []
-        for step in steps:
-            if step < offset:
-                positions.append((0, dotted_id("practice", method.preamble)))
-            else:
-                iteration, index = divmod(step - offset, len(cycle))
-                positions.append((iteration, cycle[index]))
-        return positions
+        head = () if method.preamble is None else (dotted_id("practice", method.preamble),)
+        return head, tuple(dotted_id("practice", name) for name in method.cycle)
 
     @property
     def iteration(self) -> int:
         """Completed passes through the cycle; 0 at and right after the preamble."""
-        return self._positions(range(self.step, self.step + 1))[0][0]
+        head, ids = self._positions()
+        return max(self.step - len(head), 0) // len(ids)
 
     @property
     def current(self) -> str:
         """The current practice id."""
-        return self._positions(range(self.step, self.step + 1))[0][1]
-
-    @property
-    def at_preamble(self) -> bool:
-        return self.method.preamble is not None and self.step == 0
+        head, ids = self._positions()
+        if self.step < len(head):
+            return head[0]
+        return ids[(self.step - len(head)) % len(ids)]
 
     @property
     def trace(self) -> tuple[tuple[int, str], ...]:
         """Completions in order, as (iteration, practice id) pairs."""
-        return tuple(self._positions(range(self.step)))
+        head, ids = self._positions()
+        done = max(self.step - len(head), 0)
+        return (*((0, practice_id) for practice_id in head[:self.step]),
+                *islice(product(range(-(-done // len(ids))), ids), done))
 
 
 def start_enactment(method: Method) -> EnactmentState:
@@ -132,7 +131,7 @@ def start_enactment(method: Method) -> EnactmentState:
     errors = method.shape_errors()
     if errors:
         raise EnactmentError(errors[0])
-    return EnactmentState(method=method)
+    return EnactmentState(method)
 
 
 def next_phase(state: EnactmentState) -> EnactmentState:
@@ -143,7 +142,8 @@ def next_phase(state: EnactmentState) -> EnactmentState:
     and the iteration increments. The completed practice is appended to the
     trace. Concurrent practices never appear here.
     """
-    return EnactmentState(method=state.method, step=state.step + 1)
+    # Positional: a keyword call builds a kwargs dict on every step.
+    return EnactmentState(state.method, state.step + 1)
 
 
 def active_practices(state: EnactmentState) -> frozenset[str]:
@@ -157,8 +157,8 @@ def visitation(method: Method, steps: int) -> list[str]:
     """Practice ids of the first ``steps`` enactment positions."""
     if steps <= 0:
         return []
-    positions = start_enactment(method)._positions(range(steps))
-    return [practice_id for _, practice_id in positions]
+    head, ids = start_enactment(method)._positions()
+    return [*head, *islice(cycle(ids), steps - len(head))]
 
 
 def practice_progress(practice: Practice, done: Iterable[str]) -> float:

@@ -411,6 +411,42 @@ def test_closed_stdout_exits_3_without_traceback(corpus_dir):
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ("export", "--format", "tree"),
+    ("export", "--format", "dot"),
+    ("enact", "--method", "adm", "--steps", "200000"),
+], ids=["export-tree", "export-dot", "enact"])
+def test_closed_stdout_exits_3_buffered_or_not(corpus_dir, tmp_path, command, unbuffered):
+    # Under PYTHONUNBUFFERED, stdout's binary layer is the raw file, and a short
+    # write of one large document once went unnoticed (exit 0).
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esskit
+
+    if command[0] == "export":
+        big = tmp_path / "big.ess"
+        big.write_text(KERNEL_PRELUDE + 'practice "P" area Customer { goal "g" space "S" { '
+                       + " ".join(f'activity "A{i}"' for i in range(3000)) + " } }")
+        files = [str(big)]  # exports of 350-800 KB, well past a 64 KB pipe
+    else:
+        files = _corpus_args(corpus_dir)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(esskit.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from esskit.cli import main; main()", *command, *files],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 3
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 _CORPUS_NAMES = ("kernel.ess", "roles.ess", "phases.ess", "practices.ess", "method.ess")
 # Each subcommand's own options with good and bad values; every command also
 # takes the common ones, and now and then a stray word.

@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esskit import progress
 from esskit.model import (
@@ -115,8 +117,8 @@ ADM = Method(name="adm", preamble="Preliminary",
 
 def test_start_at_preamble():
     state = start_enactment(ADM)
+    assert state.step == 0
     assert state.current == "practice.preliminary"
-    assert state.at_preamble
     assert state.iteration == 0 and state.trace == ()
 
 
@@ -216,6 +218,65 @@ def test_repeated_cycle_entries_are_visited_in_order():
         state = next_phase(state)
     assert (state.current, state.iteration) == ("practice.a", 1)
     assert [p for _, p in state.trace] == [f"practice.{x}" for x in "abac"]
+
+
+def reference_positions(method: Method, steps: int) -> list[tuple[int, str]]:
+    """(iteration, practice id) of each of the first ``steps`` positions,
+    stepped one at a time with ``divmod``."""
+    offset = 0 if method.preamble is None else 1
+    cycle = [f"practice.{name.lower()}" for name in method.cycle]
+    positions = []
+    for step in range(steps):
+        if step < offset:
+            positions.append((0, f"practice.{method.preamble.lower()}"))
+        else:
+            iteration, index = divmod(step - offset, len(cycle))
+            positions.append((iteration, cycle[index]))
+    return positions
+
+
+@st.composite
+def _enactments(draw):
+    """A valid method with repeated cycle names, and a step up to 3 passes past it."""
+    cycle = tuple(draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=12)))
+    preamble = draw(st.none() | st.just("P"))
+    concurrent = tuple(draw(st.lists(st.sampled_from(("R", "S")), max_size=2, unique=True)))
+    method = Method(name="m", cycle=cycle, preamble=preamble, concurrent=concurrent)
+    return method, draw(st.integers(0, 3 * len(cycle) + 5))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_enactments())
+def test_closed_form_matches_stepped_reference(enactment):
+    method, step = enactment
+    want = reference_positions(method, step + 1)
+    state = EnactmentState(method=method, step=step)
+    assert visitation(method, step) == [p for _, p in want[:step]]
+    assert state.trace == tuple(want[:step])
+    assert (state.iteration, state.current) == want[step]
+    assert active_practices(state) == {want[step][1], *(f"practice.{name.lower()}"
+                                                         for name in method.concurrent)}
+    for earlier in range(step):
+        assert state.trace[:earlier] == EnactmentState(method=method, step=earlier).trace
+    following = next_phase(state)
+    assert following == EnactmentState(method=method, step=step + 1)
+    assert hash(following) == hash(EnactmentState(method=method, step=step + 1))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_enactments(), st.integers(-5, -1))
+def test_every_accessor_refuses_an_unenactable_state(enactment, negative):
+    method, step = enactment
+    empty = Method(name="m", cycle=(), preamble=method.preamble,
+                   concurrent=method.concurrent)
+    for state, message in [(EnactmentState(method=empty, step=step), "empty cycle"),
+                           (EnactmentState(method=method, step=negative), "is negative")]:
+        for read in (lambda: state.current, lambda: state.iteration,
+                     lambda: state.trace, lambda: active_practices(state)):
+            with pytest.raises(EnactmentError, match=message):
+                read()
+    with pytest.raises(EnactmentError, match="empty cycle"):
+        visitation(empty, step + 1)
 
 
 def test_corpus_method_enacts(corpus):
