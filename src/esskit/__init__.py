@@ -18,16 +18,14 @@ _EXPORTS = {
     "lint": ("LINT_RULES", "LintRule", "UnknownRuleError", "run_lints"),
     "model": (
         "ACTIVITY_TAGS", "KERNEL_COMPETENCIES", "PHASE_IDS", "Activity", "ActivitySpec",
-        "Alpha", "AlphaState", "Area", "AreaDecl", "ChecklistItem", "Competency",
-        "CompetencyGrade", "Contribution", "Kernel", "Method", "ModelDocument",
-        "Practice", "Role", "Space", "StepSpec", "TogafPhase", "WorkProduct",
-        "WorkProductCategory", "dotted_id", "element_id", "iter_elements", "lookup",
-        "merge", "slug",
+        "Alpha", "AlphaState", "Area", "AreaDecl", "Competency", "CompetencyGrade",
+        "Contribution", "Kernel", "Method", "ModelDocument", "Practice", "Role", "Space",
+        "StepSpec", "TogafPhase", "WorkProduct", "WorkProductCategory", "dotted_id",
+        "element_id", "iter_elements", "lookup", "merge", "slug",
     ),
     "progress": (
-        "Assessment", "AssessmentError", "EnactmentError", "EnactmentState",
-        "active_practices", "assess_alpha", "next_phase", "practice_progress",
-        "start_enactment", "visitation",
+        "AssessmentError", "EnactmentError", "EnactmentState", "active_practices",
+        "assess_alpha", "next_phase", "practice_progress", "start_enactment", "visitation",
     ),
     "render": ("export_dot", "export_json", "render_canonical"),
     "togaf": (
@@ -35,7 +33,7 @@ _EXPORTS = {
         "load_manifest", "map_phase",
     ),
     "validator": (
-        "AreaProfile", "CheckConfig", "ResolvedModel", "check", "check_wellformedness",
+        "AreaProfile", "ResolvedModel", "check", "check_wellformedness",
         "compute_area_profile", "resolve",
     ),
 }

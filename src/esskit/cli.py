@@ -168,13 +168,9 @@ def _load(args, *, resolve: bool = True):
     return validator.resolve(document) if resolve else document
 
 
-def _config(args) -> validator.CheckConfig:
-    return validator.CheckConfig(max_nesting_depth=args.max_depth)
-
-
 def _cmd_check(args) -> int:
     try:
-        _, diagnostics = validator.check(_load(args, resolve=False), _config(args))
+        _, diagnostics = validator.check(_load(args, resolve=False), max_depth=args.max_depth)
     except ParseError as failure:
         diagnostics = failure.diagnostics
     _print_diagnostics(diagnostics)
@@ -193,7 +189,11 @@ def _selected_rules(args) -> set[str]:
         return out
 
     enabled = set(split(args.enable)) if args.enable else set(lint.VALID_RULE_IDS)
-    return enabled - set(split(args.disable))
+    disabled = set(split(args.disable))
+    unknown = (enabled | disabled) - set(lint.VALID_RULE_IDS)
+    if unknown:
+        raise lint.UnknownRuleError(unknown)
+    return enabled - disabled
 
 
 def _cmd_lint(args) -> int:
@@ -224,7 +224,8 @@ def _cmd_map(args) -> int:
         print("no phase specifications in the input", file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
     try:
-        practices = [togaf.map_phase(phase, model, _config(args)) for phase in phases]
+        practices = [togaf.map_phase(phase, model, max_depth=args.max_depth)
+                     for phase in phases]
     except togaf.MappingError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
@@ -266,7 +267,8 @@ def _cmd_enact(args) -> int:
     except progress.EnactmentError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
-    # Bounded batches keep the output's memory flat for any --steps.
+    # Batches bound only the output text: the ids, and with --trace the
+    # records, are held in full, so memory still grows with --steps.
     while batch := "".join(islice(lines, 4096)):
         _write(batch)
     return int(ExitStatus.OK)
@@ -279,7 +281,7 @@ def _cmd_export(args) -> int:
         _write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
     model = _load(args)
-    diagnostics = ordered([*validator.check_wellformedness(model, _config(args)),
+    diagnostics = ordered([*validator.check_wellformedness(model, max_depth=args.max_depth),
                            *lint.run_lints(model)])
     _write(render.export_json(model, diagnostics=diagnostics))
     return _exit_for(diagnostics, args.strict)

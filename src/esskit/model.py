@@ -108,13 +108,6 @@ class AreaDecl(Record, hidden=("span",)):
         return self.area.value
 
 
-class ChecklistItem(Record):
-    """One checklist entry; ``key`` is '<state-index>.<item-index>', 1-based."""
-
-    text: str
-    key: str
-
-
 class AlphaState(Record, hidden=("span",)):
     kind: ClassVar[str] = "state"
     name: str
@@ -131,14 +124,10 @@ class Alpha(Record, hidden=("span",)):
     states: tuple[AlphaState, ...]
     span: SourceSpan | None = None
 
-    def items(self) -> Iterator[tuple[AlphaState, ChecklistItem]]:
-        """All checklist items with their positional keys, in ladder order."""
-        for si, state in enumerate(self.states, 1):
-            for ci, text in enumerate(state.checklist, 1):
-                yield state, ChecklistItem(text=text, key=f"{si}.{ci}")
-
     def item_keys(self) -> tuple[str, ...]:
-        return tuple(item.key for _, item in self.items())
+        """Checklist keys '<state-index>.<item-index>', 1-based, in ladder order."""
+        return tuple(f"{si}.{ci}" for si, state in enumerate(self.states, 1)
+                     for ci in range(1, len(state.checklist) + 1))
 
 
 class Competency(Record, hidden=("span",)):

@@ -19,7 +19,7 @@ from itertools import cycle, islice, product
 from typing import Iterable, Mapping
 
 from .diagnostics import Record
-from .model import Activity, Alpha, Method, Practice, dotted_id, element_id, walk_element
+from .model import Activity, Alpha, Method, Practice, dotted_id, walk_element
 
 
 class AssessmentError(ValueError):
@@ -42,34 +42,11 @@ def assess_alpha(alpha: Alpha, answers: Mapping[str, bool]) -> str | None:
                 f"alpha {alpha.name!r} has no checklist item {key!r}")
     achieved = None
     for si, state in enumerate(alpha.states, 1):
-        keys = [f"{si}.{ci}" for ci in range(1, len(state.checklist) + 1)]
-        if all(answers.get(key, False) for key in keys):
-            achieved = state.name
-        else:
+        if not all(answers.get(f"{si}.{ci}", False)
+                   for ci in range(1, len(state.checklist) + 1)):
             break
+        achieved = state.name
     return achieved
-
-
-class Assessment(Record):
-    """One alpha's recorded answers and the state they add up to."""
-
-    alpha: str
-    answers: tuple[tuple[str, bool], ...]
-    achieved: str | None
-
-    @classmethod
-    def assess(cls, alpha: Alpha, answers: Mapping[str, bool]) -> "Assessment":
-        achieved = assess_alpha(alpha, answers)
-        return cls(alpha=element_id(alpha),
-                   answers=tuple(sorted(answers.items())),
-                   achieved=achieved)
-
-    def to_record(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "answers": {key: value for key, value in self.answers},
-            "achieved": self.achieved,
-        }
 
 
 class EnactmentState(Record):

@@ -48,7 +48,7 @@ def _string(value: str) -> str:
 
 def _ident(name: str) -> str:
     encoded = name.replace(" ", "_")
-    if _IDENT(encoded) is None:
+    if "_" in name or _IDENT(encoded) is None:  # the parser reads "_" as " "
         raise ValueError(f"name {name!r} is not representable as an identifier")
     return encoded
 
@@ -57,6 +57,13 @@ def _int(level: int) -> str:
     if _INT(str(level)) is None:
         raise ValueError(f"level {level!r} is not representable as an integer")
     return str(level)
+
+
+def _contribution(contribution) -> str:
+    if ": " in contribution.work_product:  # the parser splits at the first ": "
+        raise ValueError(f"work product {contribution.work_product!r} is not "
+                         "representable in a contribution")
+    return _string(contribution.rendered_name())
 
 
 def _word(text: str) -> str:
@@ -87,7 +94,7 @@ _WRITERS = {
     "color": lambda area: area.color,
     "category": lambda category: category.value,
     "grade": lambda grade: f"{_ident(grade.competency)} @ {_int(grade.level)}",
-    "contribution": lambda contribution: _string(contribution.rendered_name()),
+    "contribution": _contribution,
 }
 
 
@@ -138,15 +145,16 @@ def render_canonical(document: ModelDocument) -> str:
     """Deterministic canonical DSL text for ``document``.
 
     An empty document renders as empty text. Raises ValueError for names the
-    surface syntax cannot carry (backslashes, line breaks, or names that do
-    not survive the identifier encoding), for a field its block has no
-    clause for that differs from its default (a kernel space's members, a
-    practice space's area or parent), for an empty field the parser needs
-    at least one of (a practice's goals, a role's competencies, a method's
-    cycle, an alpha's states, a state's checklist), and for a phase activity
-    with no tag and no sub-activity or with a repeated tag; and TypeError for
-    an element the grammar has no place for, such as an activity directly in
-    a practice.
+    surface syntax cannot carry (backslashes, line breaks, an identifier
+    holding an underscore, a contributed work product holding ``": "``, or
+    names that do not survive the identifier encoding), for a field its
+    block has no clause for that differs from its default (a kernel space's
+    members, a practice space's area or parent), for an empty field the
+    parser needs at least one of (a practice's goals, a role's competencies,
+    a method's cycle, an alpha's states, a state's checklist), and for a
+    phase activity with no tag and no sub-activity or with a repeated tag;
+    and TypeError for an element the grammar has no place for, such as an
+    activity directly in a practice.
     """
     lines: list[str] = []
     for declaration in document.declarations:
@@ -221,16 +229,16 @@ _OWNED_LISTS = {AlphaState: "states", WorkProduct: "outputs", Space: "spaces",
                 Activity: "activities"}
 
 
-def export_json(model, *, diagnostics=(), assessments=()) -> str:
+def export_json(model, *, diagnostics=()) -> str:
     """Stable JSON tree for a resolved document.
 
     ``model`` is a :class:`~esskit.validator.ResolvedModel` or a
-    :class:`ModelDocument`, which is resolved first. Top-level keys are
-    fixed; arrays follow declaration order; every element record carries
-    ``id``, ``name``, and ``kind``. References are emitted as element ids, so
-    the document must resolve; dangling references raise
+    :class:`ModelDocument`, which is resolved first. The top-level keys are
+    fixed: the element lists from ``areas`` to ``phases``, then the
+    ``diagnostics`` passed in. Arrays follow declaration order; every element
+    record carries ``id``, ``name``, and ``kind``. References are emitted as
+    element ids, so the document must resolve; dangling references raise
     :class:`esskit.diagnostics.ResolveError` listing the offending ids.
-    Diagnostics and assessments passed in are serialized under their own keys.
     """
     if isinstance(model, ModelDocument):
         from .validator import resolve
@@ -240,7 +248,6 @@ def export_json(model, *, diagnostics=(), assessments=()) -> str:
         document = model.document
     tree = {key: [] for key in _TREE_LISTS.values()}
     tree["diagnostics"] = [d.to_record() for d in diagnostics]
-    tree["assessments"] = [a.to_record() for a in assessments]
     # The walk is pre-order, so an element's owner is the latest record at
     # its parent id, even when ids collide, and a practice's spaces and
     # activities follow the practice.

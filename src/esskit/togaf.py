@@ -36,7 +36,7 @@ from .model import (
     merge,
     walk_specs,
 )
-from .validator import CheckConfig, ResolvedModel
+from .validator import ResolvedModel
 
 #: R1: the practice name for each phase position in the ADM.
 PHASE_PRACTICE_NAMES = {
@@ -81,23 +81,20 @@ def _chain(names: tuple[str, ...]) -> str:
     return " > ".join(repr(n) for n in names)
 
 
-def map_phase(spec: TogafPhase, model: ResolvedModel,
-              config: CheckConfig | None = None) -> Practice:
+def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> Practice:
     """Map one phase specification to a practice against a resolved kernel.
 
     Raises :class:`MappingError` for the first fault found, checking the
     phase id, the kernel's competencies and then, in passes over the specs
     in pre-order: tags on a decomposed spec or a feed of an undeclared
-    output; a feed that needs a part; a decomposition nested too deeply, an
-    undeclared role or an unknown tag.
+    output; a feed that needs a part; a decomposition that would nest spaces
+    deeper than ``max_depth``, an undeclared role or an unknown tag.
 
     The undeclared-output and undeclared-role checks guard library callers
     that pass a phase the model did not resolve: for every phase of a
     resolved document, :func:`esskit.validator.resolve` has already reported
     both as V001, which is what ``esskit map`` prints.
     """
-    config = config or CheckConfig()
-
     if spec.phase not in PHASE_PRACTICE_NAMES:
         raise MappingError(f"phase id {spec.phase!r} is not one of "
                            + ", ".join(PHASE_PRACTICE_NAMES))
@@ -140,11 +137,11 @@ def map_phase(spec: TogafPhase, model: ResolvedModel,
     mapped: list[Activity | None] = []
     for _, node, chain, _ in walk:
         if isinstance(node, StepSpec) or node.sub_activities:
-            if isinstance(node, ActivitySpec) and len(chain) > config.max_nesting_depth:
+            if isinstance(node, ActivitySpec) and len(chain) > max_depth:
                 raise MappingError(
                     f"phase {spec.phase}: decomposing {_chain(chain)} would nest "
                     f"spaces at depth {len(chain)}, beyond the maximum of "
-                    f"{config.max_nesting_depth}")
+                    f"{max_depth}")
             mapped.append(None)
         else:
             mapped.append(_map_activity(spec, node, chain, model, requirement_areas))
@@ -188,7 +185,8 @@ def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ..
         wanted.discard("Stakeholder Representation")
     role = model.roles.get(activity.role) if activity.role else None
     requires = []
-    for name in sorted(wanted, key=lambda n: model.competency_order[n]):
+    # In declared order; map_phase checked that every one is declared.
+    for name in [n for n in model.competencies if n in wanted]:
         level = DEFAULT_REQUIREMENT_LEVEL
         if role is not None:
             declared = role.level_for(name)

@@ -46,12 +46,6 @@ ACTIVITY_WITHOUT_SPACE = "V016"
 UNENACTABLE_METHOD = "V017"
 
 
-class CheckConfig(Record):
-    """Knobs for well-formedness; depth counts the root space as 1."""
-
-    max_nesting_depth: int = 3
-
-
 class AreaProfile(Record):
     """Per-area element counts for one practice, and the winning area(s).
 
@@ -102,8 +96,6 @@ class ResolvedModel:
         self.kernel_work_products = tables[WorkProduct]
         self.roles = tables[Role]
         self.practices = tables[Practice]
-        self.competency_order = {name: i for i, name
-                                 in enumerate(self.competencies)}
 
 
 def resolve(document: ModelDocument) -> ResolvedModel:
@@ -203,18 +195,17 @@ def _area_profile(model: ResolvedModel, practice: Practice, walk) -> AreaProfile
     return AreaProfile(counts)
 
 
-def check_wellformedness(model: ResolvedModel,
-                         config: CheckConfig | None = None) -> list[Diagnostic]:
+def check_wellformedness(model: ResolvedModel, *, max_depth: int = 3) -> list[Diagnostic]:
     """Every V010-V017 violation in the model, ordered by source position
-    (see :func:`esskit.diagnostics.ordered`)."""
-    config = config or CheckConfig()
+    (see :func:`esskit.diagnostics.ordered`); V011 reports a space nested
+    deeper than ``max_depth``, counting the root space as 1."""
     diagnostics: list[Diagnostic] = []
 
     def report(rule: str, severity: Severity, path: str, message: str, span) -> None:
         diagnostics.append(Diagnostic(rule=rule, severity=severity, path=path,
                                       message=message, span=span))
 
-    _check_kernel_space_nesting(model, config, report)
+    _check_kernel_space_nesting(model, max_depth, report)
 
     # A parentless entry starts its own walk, which runs up to the next
     # parentless entry; V014 and V015 read each practice's walk after the pass.
@@ -248,10 +239,10 @@ def check_wellformedness(model: ResolvedModel,
                        element.span)
         # Kernel spaces have no parent here; they nest by name, checked above.
         elif isinstance(element, Space) and parent_id is not None:
-            if depth > config.max_nesting_depth:
+            if depth > max_depth:
                 report(NESTING_TOO_DEEP, Severity.ERROR, ident,
                        f"space nested at depth {depth} exceeds the maximum of "
-                       f"{config.max_nesting_depth}", element.span)
+                       f"{max_depth}", element.span)
         elif isinstance(element, Activity):
             if depth == 1:
                 report(ACTIVITY_WITHOUT_SPACE, Severity.ERROR, ident,
@@ -284,8 +275,7 @@ def _level_bound(model: ResolvedModel, competency: str) -> int:
     return 5 if declared is None else min(declared.max_level, 5)
 
 
-def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
-                                report) -> None:
+def _check_kernel_space_nesting(model: ResolvedModel, max_depth: int, report) -> None:
     spaces = model.kernel_spaces
     # A space's depth counts the spaces on its chain of parents that lie on
     # no cycle, itself included; a space on a cycle gets 0. Each space is on
@@ -311,10 +301,10 @@ def _check_kernel_space_nesting(model: ResolvedModel, config: CheckConfig,
         if depth == 0:
             report(NESTING_CYCLE, Severity.ERROR, element_id(space),
                    f"space {name!r} participates in a nesting cycle", space.span)
-        elif depth > config.max_nesting_depth:
+        elif depth > max_depth:
             report(NESTING_TOO_DEEP, Severity.ERROR, element_id(space),
                    f"space nested at depth {depth} exceeds the maximum of "
-                   f"{config.max_nesting_depth}", space.span)
+                   f"{max_depth}", space.span)
 
 
 def _check_contribution_parts(practice: Practice, walk: list, report) -> None:
@@ -344,9 +334,8 @@ def _check_contribution_parts(practice: Practice, walk: list, report) -> None:
                    wp.span)
 
 
-def check(document: ModelDocument,
-          config: CheckConfig | None = None) -> tuple[ResolvedModel | None,
-                                                      list[Diagnostic]]:
+def check(document: ModelDocument, *,
+          max_depth: int = 3) -> tuple[ResolvedModel | None, list[Diagnostic]]:
     """Resolve then well-formedness-check; never raises.
 
     Returns the resolved model (None when resolution failed) and every
@@ -356,4 +345,4 @@ def check(document: ModelDocument,
         model = resolve(document)
     except ResolveError as failure:
         return None, list(failure.diagnostics)
-    return model, check_wellformedness(model, config)
+    return model, check_wellformedness(model, max_depth=max_depth)

@@ -43,6 +43,10 @@ kernel "Essence" {
 }
 """
 
+# The top-level keys of every export_json tree, in order.
+EXPORT_TREE_KEYS = ["areas", "alphas", "competencies", "spaces", "work_products",
+                    "roles", "practices", "methods", "phases", "diagnostics"]
+
 
 @pytest.fixture(scope="session")
 def corpus():

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from esskit import dsl, lint, progress, render, togaf, validator
 from esskit.cli import run
 from esskit.model import ModelDocument, walk_specs
-from esskit.validator import CheckConfig
 
 from conftest import generate_document, parse_with_kernel
 from test_progress import KEYS, THREE_BY_TWO, oracle_achieved, _state_index
@@ -182,7 +181,7 @@ def test_criterion_7_validator_invariants(tmp_path, capsys):
     deep = parse_with_kernel(deep_source)
     _, strict = validator.check(deep)
     assert [d.rule for d in strict] == ["V011"]
-    _, relaxed = validator.check(deep, CheckConfig(max_nesting_depth=4))
+    _, relaxed = validator.check(deep, max_depth=4)
     assert relaxed == []
 
     deep_file = tmp_path / "deep.ess"

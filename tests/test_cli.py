@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from esskit.cli import run
 
-from conftest import KERNEL_PRELUDE
+from conftest import EXPORT_TREE_KEYS, KERNEL_PRELUDE
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,13 @@ def test_lint_unknown_rule_is_usage_error(cli, corpus_dir):
     code, out, err = cli("lint", "--enable", "L999", *_corpus_args(corpus_dir))
     assert code == 2
     assert "L999" in err and "L001" in err
+    code, out, err = cli("lint", "--disable", "L01", *_corpus_args(corpus_dir))
+    assert (code, out) == (2, "")
+    assert err == ("unknown lint rule(s) L01; valid ids are "
+                   "L001, L002, L003, L004\n")
+    code, out, err = cli("lint", "--enable", "L9", "--disable", "L9",
+                         *_corpus_args(corpus_dir))
+    assert (code, out) == (2, "") and "unknown lint rule(s) L9;" in err
 
 
 def test_map_phase_emits_canonical_practice(cli, corpus_dir):
@@ -190,10 +197,7 @@ def test_export_tree_carries_diagnostics(cli, corpus_dir, manifest):
     code, out, err = cli("export", *_corpus_args(corpus_dir))
     assert code == 0
     tree = json.loads(out)
-    for key in ("areas", "alphas", "competencies", "spaces", "work_products",
-                "roles", "practices", "methods", "phases", "diagnostics",
-                "assessments"):
-        assert key in tree
+    assert list(tree) == EXPORT_TREE_KEYS
     assert len(tree["competencies"]) == 7
     assert [c["id"] for c in tree["competencies"]][-1] == "competency.governance"
     assert len(tree["diagnostics"]) == sum(manifest["lints"].values())
@@ -303,7 +307,7 @@ _PINNED_STDOUT = [
     (("map",),
      "8b65f6ec9782e0273c433563294a25f340efc5933f4e9f5b9a81c864c8f0de76"),
     (("export", "--format", "tree"),
-     "1490c2274d94b0846cd8b99facd88aab791971b9d114590296bdbf286553fa3d"),
+     "fc00e5a4c6cae9f20b179ce88ea93a7cc9bb86c6d597e141e8ab06ba5e4548e3"),
     (("export", "--format", "dot"),
      "27689581b76ca4750ac8f298b63cea95db0e2e3f8f861afce62389089b9939b0"),
     (("enact", "--method", "adm", "--steps", "10"),

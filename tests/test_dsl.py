@@ -261,11 +261,32 @@ def _phase(phase: str = "A", tags: tuple[str, ...] = ("builds",)) -> TogafPhase:
         Space(name="S", members=(Activity(name="a", requires=(
             CompetencyGrade("A", -3),)),)),))]),
      "level -3 is not representable as an integer"),
+    (ModelDocument([Practice(name="P", area=Area.CUSTOMER, goals=("g",), members=(
+        Space(name="S", members=(Activity(name="a", produces=(
+            Contribution("Vision: Draft"),)),)),))]),
+     "work product 'Vision: Draft' is not representable in a contribution"),
+    (ModelDocument([TogafPhase(phase="A", name="Vision", objective="o", steps=(
+        StepSpec(name="S", activities=(ActivitySpec(name="x", tags=("builds",), feeds=(
+            Contribution("Vision: Draft", "scope"),)),)),))]),
+     "work product 'Vision: Draft' is not representable in a contribution"),
+    (ModelDocument([Kernel(name="K", members=(
+        Competency(name="Foo_Bar", area=Area.SOLUTION),))]),
+     "name 'Foo_Bar' is not representable as an identifier"),
+    (ModelDocument([Kernel(name="K", members=(Alpha(name="Work_Item", area=Area.CUSTOMER,
+        states=(AlphaState(name="S", checklist=("c",)),)),))]),
+     "name 'Work_Item' is not representable as an identifier"),
+    (ModelDocument([Kernel(name="K", members=(Alpha(name="A", area=Area.CUSTOMER,
+        states=(AlphaState(name="Work_Item", checklist=("c",)),)),))]),
+     "name 'Work_Item' is not representable as an identifier"),
+    (ModelDocument([Role(name="R", competencies=(CompetencyGrade("Foo_Bar", 2),))]),
+     "name 'Foo_Bar' is not representable as an identifier"),
 ], ids=["word", "tag", "phase", "kernel-space-members", "practice-space-area",
         "practice-space-parent", "practice-goals", "role-competencies", "method-cycle",
         "alpha-states", "state-checklist", "spec-without-tags", "spec-repeated-tag",
         "role-negative-level", "role-bool-level", "competency-negative-levels",
-        "activity-negative-requires"])
+        "activity-negative-requires", "produces-separator-in-name",
+        "feeds-separator-in-name", "competency-underscore", "alpha-underscore",
+        "state-underscore", "grade-underscore"])
 def test_render_refuses_values_the_parser_rejects(document, message):
     with pytest.raises(ValueError, match=message):
         render.render_canonical(document)

@@ -16,7 +16,6 @@ from esskit.model import (
     AlphaState,
     Area,
     AreaDecl,
-    ChecklistItem,
     Competency,
     CompetencyGrade,
     Contribution,
@@ -39,8 +38,8 @@ from esskit.model import (
     walk_element,
     walk_specs,
 )
-from esskit.progress import Assessment, EnactmentState
-from esskit.validator import AreaProfile, CheckConfig
+from esskit.progress import EnactmentState
+from esskit.validator import AreaProfile
 
 from conftest import generate_document
 
@@ -319,7 +318,6 @@ def _records(span: SourceSpan) -> dict:
                    span=span, hint="h"),
         LintRule("L009", "spare", Severity.WARNING, "d"),
         AreaDecl(area=Area.CUSTOMER, span=span),
-        ChecklistItem(text="c", key="1.1"),
         state,
         Alpha(name="Work", area=Area.ENDEAVOR, states=(state,), span=span),
         Competency(name="Analysis", area=Area.SOLUTION, max_level=4, span=span),
@@ -336,9 +334,7 @@ def _records(span: SourceSpan) -> dict:
         StepSpec(name="s", activities=(spec,), span=span),
         TogafPhase(phase="A", name="V", objective="o", span=span),
         Kernel(name="K", members=(AreaDecl(area=Area.SOLUTION, span=span),), span=span),
-        Assessment(alpha="alpha.work", answers=(("1.1", True),), achieved="Initiated"),
         EnactmentState(method=method, step=3),
-        CheckConfig(max_nesting_depth=4),
         AreaProfile(counts={Area.SOLUTION: 2}),
     )}
 
@@ -356,7 +352,6 @@ _PINNED_REPRS = {
     "LintRule": ("LintRule(id='L009', name='spare', severity=<Severity.WARNING: "
                  "'warning'>, description='d')"),
     "AreaDecl": "AreaDecl(area=<Area.CUSTOMER: 'Customer'>)",
-    "ChecklistItem": "ChecklistItem(text='c', key='1.1')",
     "AlphaState": "AlphaState(name='Initiated', checklist=('c',))",
     "Alpha": ("Alpha(name='Work', area=<Area.ENDEAVOR: 'Endeavor'>, "
               "states=(AlphaState(name='Initiated', checklist=('c',)),))"),
@@ -381,11 +376,8 @@ _PINNED_REPRS = {
                  "tags=('builds',), feeds=(), role=None, sub_activities=()),))"),
     "TogafPhase": "TogafPhase(phase='A', name='V', objective='o', steps=(), outputs=())",
     "Kernel": "Kernel(name='K', members=(AreaDecl(area=<Area.SOLUTION: 'Solution'>),))",
-    "Assessment": ("Assessment(alpha='alpha.work', answers=(('1.1', True),), "
-                   "achieved='Initiated')"),
     "EnactmentState": ("EnactmentState(method=Method(name='M', cycle=('A', 'B'), "
                        "preamble='P', concurrent=()), step=3)"),
-    "CheckConfig": "CheckConfig(max_nesting_depth=4)",
     "AreaProfile": ("AreaProfile(counts={<Area.SOLUTION: 'Solution'>: 2, "
                     "<Area.CUSTOMER: 'Customer'>: 0, <Area.ENDEAVOR: 'Endeavor'>: 0})"),
 }

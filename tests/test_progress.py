@@ -17,7 +17,6 @@ from esskit.model import (
     Space,
 )
 from esskit.progress import (
-    Assessment,
     AssessmentError,
     EnactmentError,
     EnactmentState,
@@ -98,14 +97,6 @@ def test_monotone_under_single_bit_raises():
             after = _state_index(THREE_BY_TWO,
                                  assess_alpha(THREE_BY_TWO, raised))
             assert after >= before, (answers, key)
-
-
-def test_assessment_record():
-    assessment = Assessment.assess(THREE_BY_TWO, {"1.1": True, "1.2": True})
-    record = assessment.to_record()
-    assert record["alpha"] == "alpha.work"
-    assert record["achieved"] == "Started"
-    assert record["answers"] == {"1.1": True, "1.2": True}
 
 
 # Enactment -------------------------------------------------------------------

@@ -22,7 +22,7 @@ from esskit.model import (
     WorkProduct,
     merge,
 )
-from esskit.validator import AreaProfile, CheckConfig
+from esskit.validator import AreaProfile
 
 from conftest import KERNEL_PRELUDE, collision_document, generate_document, parse_with_kernel
 
@@ -31,9 +31,9 @@ def _rules(diagnostics):
     return [d.rule for d in diagnostics]
 
 
-def _check(source: str, config: CheckConfig | None = None):
+def _check(source: str, max_depth: int = 3):
     model, diagnostics = validator.check(dsl.parse(KERNEL_PRELUDE + source),
-                                         config)
+                                         max_depth=max_depth)
     return model, diagnostics
 
 
@@ -99,7 +99,7 @@ def test_nesting_depth_boundary():
     assert _rules(diagnostics) == ["V011"]
     assert "depth 4" in diagnostics[0].message
 
-    _, relaxed = _check(source, CheckConfig(max_nesting_depth=4))
+    _, relaxed = _check(source, max_depth=4)
     assert relaxed == []
 
 
@@ -347,7 +347,7 @@ def test_kernel_space_chain_declared_child_first_needs_no_recursion():
     assert _rules(diagnostics) == ["V011"] * (count - 3)
     assert diagnostics[0].message == ("space nested at depth 2000 exceeds the "
                                       "maximum of 3")
-    _, relaxed = _check(source, CheckConfig(max_nesting_depth=10**6))
+    _, relaxed = _check(source, max_depth=10**6)
     assert relaxed == []
 
 
@@ -410,13 +410,12 @@ def _corpus_line_mutations(count: int, seed: int):
 
 def _rule_outcome_lines(document: ModelDocument):
     for depth in (3, 1):
-        config = CheckConfig(max_nesting_depth=depth)
-        model, found = validator.check(document, config)
+        model, found = validator.check(document, max_depth=depth)
         yield f"check {depth} {'resolved' if model else 'unresolved'}"
         yield from (d.render_line() for d in found)
         yield f"wellformed {depth}"
         yield from (d.render_line() for d in validator.check_wellformedness(
-            validator.ResolvedModel(document), config))
+            validator.ResolvedModel(document), max_depth=depth))
     yield "lint"
     yield from (d.render_line() for d in lint.run_lints(validator.ResolvedModel(document)))
 
