@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +32,12 @@ from esskit.model import (
     StepSpec,
     TogafPhase,
     WorkProductCategory,
+    walk_specs,
 )
 
 from conftest import generate_document
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _diagnostics(source: str):
@@ -293,12 +300,24 @@ def test_render_refuses_values_the_parser_rejects(document, message):
     assert dsl.parse(render.render_canonical(ModelDocument([_phase()])))
 
 
+def _nested_spaces(levels: int) -> str:
+    return ('practice "P" area Customer { goal "g" ' + 'space "S" { ' * levels
+            + "} " * levels + "}")
+
+
 def test_deep_nesting_is_a_parse_error():
-    body = 'space "S" { ' * 3000 + "} " * 3000
-    diagnostics = _diagnostics('practice "P" area Customer { goal "g" ' + body + "}")
+    diagnostics = _diagnostics(_nested_spaces(3000))
     assert diagnostics[-1].rule == dsl.SYNTAX_RULE
     assert diagnostics[-1].message == "blocks nested too deeply to parse"
     assert diagnostics[-1].span.file == "bad.ess"
+
+
+def test_parse_accepts_900_nested_spaces():
+    # Each nesting level costs the parser one frame; 900 levels fit under
+    # the default recursion limit with the test runner's frames below.
+    document = dsl.parse(_nested_spaces(900))
+    depths = [depth for _, element, _, depth in document.walk() if element.kind == "space"]
+    assert depths == list(range(1, 901))
 
 
 def test_levels_zero_is_kept_and_out_of_range():
@@ -599,6 +618,55 @@ def test_token_streams_on_corpus_variants_are_unchanged():
         for line in _lexical_lines(source):
             digest.update(line.encode("utf-8") + b"\n")
     assert digest.hexdigest() == _LEXER_SHA256
+
+
+def _walk_lines(document: ModelDocument):
+    """Each walk entry's id, kind and span, then each phase spec's path,
+    kind and span, then the canonical text of ``document``."""
+    entries = [(ident, element) for ident, element, _, _ in document.walk()]
+    entries += [(path, spec) for phase in document.phases()
+                for path, spec, _, _ in walk_specs(phase)]
+    for ident, element in entries:
+        span = element.span
+        yield (f"{ident}|{element.kind}|{span.file}|{span.start_line}|{span.start_col}"
+               f"|{span.end_line}|{span.end_col}")
+    yield render.render_canonical(document)
+
+
+# Parses 3,000 nested spaces in a fresh interpreter with the default
+# recursion limit and prints where the "nested too deeply" error points.
+_TOO_DEEP = """import sys
+from esskit import dsl
+from esskit.diagnostics import ParseError
+try:
+    dsl.parse(sys.stdin.read(), "deep.ess")
+except ParseError as failure:
+    print(failure.diagnostics[-1].message, failure.diagnostics[-1].span)
+"""
+
+# sha256 of the walk lines of the corpus files and of 200 generated
+# documents, each parsed from its canonical text, and of the "nested too
+# deeply" diagnostic, taken from the step-interpreting parser.
+_PARSE_OUTCOMES_SHA256 = "c3347c914d1515721d69899d8d4c40ed7ff332348eedffb0eed103bf86b876cb"
+
+
+def test_parse_outcomes_are_unchanged():
+    digest = hashlib.sha256()
+    for name, text in sorted(togaf.corpus_files().items()):
+        if name.endswith(".ess"):
+            for line in _walk_lines(dsl.parse(text, name)):
+                digest.update(line.encode("utf-8") + b"\n")
+    rng = random.Random(20261021)
+    for index in range(200):
+        text = render.render_canonical(generate_document(rng))
+        for line in _walk_lines(dsl.parse(text, f"generated-{index}.ess")):
+            digest.update(line.encode("utf-8") + b"\n")
+    done = subprocess.run([sys.executable, "-c", _TOO_DEEP], input=_nested_spaces(3000),
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.startswith("blocks nested too deeply to parse SourceSpan(")
+    digest.update(done.stdout.encode("utf-8"))
+    assert digest.hexdigest() == _PARSE_OUTCOMES_SHA256
 
 
 def _filled_clauses(documents):
