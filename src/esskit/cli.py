@@ -199,12 +199,12 @@ def _selected_rules(args) -> set[str]:
 def _cmd_lint(args) -> int:
     from . import lint
 
-    model = _load(args)
-    try:
-        diagnostics = lint.run_lints(model, _selected_rules(args))
+    try:  # a usage error, before any input is read
+        rules = _selected_rules(args)
     except lint.UnknownRuleError as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.USAGE)
+    diagnostics = lint.run_lints(_load(args), rules)
     _print_diagnostics(diagnostics)
     print(f"{len(diagnostics)} lint warnings")
     return _exit_for(diagnostics, args.strict)

@@ -1,4 +1,4 @@
-"""Lexer and table-driven parser for the ``.ess`` declaration language.
+"""Lexer and grammar-generated parser for the ``.ess`` declaration language.
 
 Surface grammar (``#`` comments run to end of line; strings are
 double-quoted with ``\\"`` as the only escape; the language is
@@ -26,10 +26,10 @@ newline-insensitive):
     spec_activity := "activity" STRING ("tag" IDENT)* ("feeds" STRING)* ("role" STRING)?
                    ("{" spec_activity* "}")?
 
-:data:`GRAMMAR` is this grammar as data: the parser below reads it and
-:func:`esskit.render.render_canonical` writes it, so a clause exists in one
-place and rendered text parses back to the same document. A phase's
-``output`` needs its category.
+:data:`GRAMMAR` is this grammar as data: at import, one parse function per
+block is generated from it, and :func:`esskit.render.render_canonical` writes
+it. So a clause exists in one place and rendered text parses back to the
+same document. A phase's ``output`` needs its category.
 
 IDENT tokens encode display-name spaces as underscores
 (``Stakeholder_Representation`` names "Stakeholder Representation").
@@ -44,7 +44,7 @@ validator. Syntax errors and same-file duplicate ids raise
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache
 
 from .diagnostics import Diagnostic, ParseError, Record, Severity, SourceSpan, ordered
 from .model import (
@@ -183,9 +183,15 @@ def tokenize(source: str, file: str = "<input>") -> list[tuple]:
     return tokens
 
 
-def _decode(ident: str) -> str:
-    """Display name for an IDENT token: underscores become spaces."""
-    return ident.replace("_", " ")
+@lru_cache(maxsize=1024)
+def _usable(name: str) -> bool:
+    """Whether a declared name yields an id. Underscores, like the spaces
+    they encode, are not usable characters."""
+    try:
+        slug(name)
+    except ValueError:
+        return False
+    return True
 
 
 # The grammar ------------------------------------------------------------------
@@ -195,8 +201,8 @@ class _Clause(Record):
     """One clause of a block: ``word`` then a value, or a child block.
 
     ``word`` is None for a value written right after the block's keyword.
-    ``kind`` names a value kind (a key of the parser's readers and of the
-    renderer's writers) or a child block (a key of :data:`GRAMMAR`).
+    ``kind`` names a value kind (a key of the parser's value kinds and of
+    the renderer's writers) or a child block (a key of :data:`GRAMMAR`).
     ``repeat`` is ``one``, ``opt``, ``many`` or ``some`` (one or more).
     """
 
@@ -283,14 +289,6 @@ GRAMMAR: dict[str, _Block] = {
         ((_Clause("activity", "sub_activities", "spec_activity", "many"),),), "opt"),
 }
 
-# A document is one run of top-level blocks, in this order in hints.
-_DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
-                  for word in ("kernel", "practice", "method", "role", "togaf_phase"))
-
-# What the "requires at least one ..." error calls a ``some`` clause.
-_AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
-
-
 # The parser -------------------------------------------------------------------
 
 
@@ -301,17 +299,9 @@ class _Parser:
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
-    # Cursor helpers ------------------------------------------------------
-
     @property
     def current(self) -> tuple:
         return self.tokens[self.pos]
-
-    def _advance(self) -> tuple:
-        token = self.tokens[self.pos]
-        if token[0] != "EOF":
-            self.pos += 1
-        return token
 
     def _fail(self, message: str, *, hint: str | None = None,
               token: tuple | None = None) -> _SyntaxFailure:
@@ -319,71 +309,57 @@ class _Parser:
         return _SyntaxFailure(_diagnostic(self.file, line, col, message, hint=hint,
                                           end_line=end_line, end_col=end_col))
 
-    def _expect(self, token_type: str, hint: str | None = None) -> tuple:
-        if self.current[0] != token_type:
-            names = {"IDENT": "an identifier", "STRING": "a string",
-                     "INT": "an integer", "LBRACE": "'{'", "RBRACE": "'}'",
-                     "AT": "'@'"}
-            raise self._fail(f"found {_describe(self.current)}",
-                             hint=hint or names.get(token_type, token_type))
-        return self._advance()
+    # Failures of the block functions. Each stores the cursor where recovery
+    # resumes: at a token not allowed there, or past a refused value ---
 
-    def _span_from(self, start: tuple) -> SourceSpan:
-        """From ``start`` to the last token consumed, which is never EOF."""
-        end = self.tokens[self.pos - 1]
-        return SourceSpan(self.file, start[2], start[3], end[4], end[5])
+    def _found(self, pos: int, hint: str, where: str = "") -> _SyntaxFailure:
+        self.pos = pos
+        return self._fail(f"found {_describe(self.current)}{where}", hint=hint)
 
-    # Value readers, each ``(parser, values)`` where ``values`` holds the
-    # fields of the block read so far ------------------------------------
+    def _invalid(self, pos: int, kind: str, about=None) -> _SyntaxFailure:
+        """Why a value of ``kind`` is refused; ``about`` names its owner or area."""
+        if kind == "grade":
+            for pos, token_type in enumerate(("IDENT", "AT", "INT"), pos):
+                if self.tokens[pos][0] != token_type:
+                    break
+            return self._found(pos, _EXPECTED[token_type])
+        token = self.tokens[pos]
+        token_type = _TOKEN_KINDS[kind][0] if kind in _TOKEN_KINDS else "IDENT"
+        hint, what, choices = _CHOICES.get(kind, (_EXPECTED[token_type], "", ()))
+        if token[0] != token_type:
+            return self._found(pos, "a color name" if kind == "color" else hint)
+        self.pos = pos + 1
+        if choices:
+            return self._fail(f"unknown {what} {token[1]!r}", token=token,
+                              hint="one of " + ", ".join(choices))
+        if kind == "color":
+            message = f"area {about.value} must be {about.color}, not {token[1]!r}"
+        else:
+            name = token[1] if kind == "name" else token[1].replace("_", " ")
+            message = f"{about} name {name!r} contains no usable characters"
+        return self._fail(message, token=token)
 
-    def _named(self, values, what: str, token_type: str) -> str:
-        """A declared name: a string, or an IDENT whose underscores are spaces.
-
-        A name must yield an id, so one with no usable characters is an error.
-        """
-        token = self._expect(token_type)
-        name = str(token[1]) if token_type == "STRING" else _decode(str(token[1]))
-        try:
-            slug(name)
-        except ValueError:
-            raise self._fail(f"{what} name {name!r} contains no usable characters",
-                             token=token) from None
-        return name
-
-    def _choice(self, values, hint: str, what: str, choices: dict):
-        """An IDENT naming one of ``choices``, which map its text to its value."""
-        token = self._expect("IDENT", hint=hint)
-        if token[1] not in choices:
-            raise self._fail(f"unknown {what} {token[1]!r}",
-                             hint="one of " + ", ".join(choices), token=token)
-        return choices[token[1]]
-
-    def _color(self, values) -> Area:
-        """The color of the area just read, which it must match."""
-        area = values["area"]
-        token = self._expect("IDENT", hint="a color name")
-        if token[1] != area.color:
-            raise self._fail(f"area {area.value} must be {area.color}, not {token[1]!r}",
-                             token=token)
-        return area
-
-    def _grade(self, values) -> CompetencyGrade:
-        competency = _decode(str(self._expect("IDENT")[1]))
-        self._expect("AT")
-        return CompetencyGrade(competency=competency, level=self._expect("INT")[1])
-
-    # Blocks --------------------------------------------------------------
+    def _none_of(self, start: tuple, pos: int, message: str, hint: str) -> None:
+        """A run that needs a clause has none. A missing goal is recorded, not
+        raised, so that it hides no later finding; its span ends at ``pos``."""
+        if hint != "'goal'":
+            self.pos = pos
+            raise self._fail(message, hint=hint)
+        end = self.tokens[pos - 1]
+        self.diagnostics.append(Diagnostic(
+            rule=SYNTAX_RULE, severity=Severity.ERROR, path="", message=message,
+            span=SourceSpan(self.file, start[2], start[3], end[4], end[5]), hint=hint))
 
     def parse_document(self) -> list:
         declarations = []
         while self.current[0] != "EOF":
             token = self.current
-            key = _TOP.get(token[1]) if token[0] == "IDENT" else None
+            block = _TOP.get(token[1]) if token[0] == "IDENT" else None
             try:
-                if key is None:
+                if block is None:
                     raise self._fail(f"found {_describe(token)} at top level",
                                      hint=_TOP_HINT)
-                declarations.append(self._block(key))
+                declarations.append(block(self, self.tokens, self.pos))
             except _SyntaxFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._recover()
@@ -400,140 +376,164 @@ class _Parser:
                 depth = max(0, depth - 1)
             elif depth == 0 and kind == "IDENT" and value in _TOP:
                 return
-            self._advance()
-
-    def _block(self, key: str):
-        """The element of block ``key`` of :data:`GRAMMAR`, whose keyword is
-        the current token.
-
-        Runs the block's precomputed steps; a child block is one direct call
-        of this method, so each level of nesting costs one frame.
-        """
-        cls, lists, steps = _PLANS[key]
-        tokens = self.tokens
-        start = self._advance()
-        values = {field: [] for field in lists}
-        for op, field, need, arg in steps:
-            token = tokens[self.pos]
-            if op is _RUN:
-                while token[0] == "IDENT" and token[1] in arg:
-                    target, read, child = arg[token[1]]
-                    if child is None:
-                        self.pos += 1
-                        values[target].append(read(self, values))
-                    else:
-                        values[target].append(self._block(child))
-                    token = tokens[self.pos]
-                if need and not values[field]:
-                    message, hint = need
-                    if field != "goals":
-                        raise self._fail(message, hint=hint)
-                    # Recorded, not raised: one practice without a goal
-                    # should not hide the findings after it.
-                    self.diagnostics.append(Diagnostic(
-                        rule=SYNTAX_RULE, severity=Severity.ERROR, path="",
-                        message=message, span=self._span_from(start), hint=hint))
-            elif op is _VALUE or op is _OPTIONAL:
-                if need is not None:
-                    if token[0] != "IDENT" or token[1] != need:
-                        if op is _OPTIONAL:
-                            continue
-                        raise self._fail(f"found {_describe(token)}", hint=f"'{need}'")
-                    self.pos += 1
-                values[field] = arg(self, values)
-            elif op is _OPEN:
-                if token[0] != "LBRACE" and arg:
-                    break
-                self._expect("LBRACE")
-            else:
-                if token[0] != "RBRACE" and arg:
-                    raise self._fail(f"found {_describe(token)} in kernel body", hint=arg)
-                self._expect("RBRACE")
-        for field in lists:
-            values[field] = tuple(values[field])
-        if cls is ActivitySpec:
-            values["tags"] = tuple(dict.fromkeys(values["tags"]))
-            if not values["tags"] and not values["sub_activities"]:
-                raise self._fail(f"activity {values['name']!r} requires at least one "
-                                 "tag or sub-activities", token=start)
-        return cls(**values, span=self._span_from(start))
+            self.pos += 1
 
 
-# Parse plans: each block's steps, computed once from GRAMMAR ------------------
+# The block functions, generated from GRAMMAR at import ------------------------
+# ``parse_<key>(parser, tokens, pos)`` reads block ``key``, whose keyword at
+# ``pos`` the caller has checked, and returns its element with ``parser.pos``
+# just past it. It keeps the cursor in ``pos``, tests token types inline and
+# builds the element positionally. It stores the cursor in ``parser.pos``
+# before each raise and child block call, so that recovery and the "nested too
+# deeply" error start from a token it reached. Each nesting level is one frame.
 
-# Step operations. A step is ``(op, field, need, arg)``:
-#   _VALUE    a value clause; ``need`` is its word or None, ``arg`` its reader;
-#   _OPTIONAL an optional value clause with word ``need`` and reader ``arg``;
-#   _RUN      a run; ``arg`` maps each word to ``(field, reader, child)``, one
-#             of reader and child block key being None, and a ``some`` clause
-#             gives its ``field`` and the ``need`` ``(message, hint)`` raised
-#             when the run is empty;
-#   _OPEN     ``{``, which ``arg`` says may be absent (then the body is empty);
-#   _CLOSE    ``}``; ``arg`` is the kernel's hint for a stray body token.
-_VALUE, _OPTIONAL, _RUN, _OPEN, _CLOSE = "value", "optional", "run", "open", "close"
-
-_READERS = {
-    "string": lambda parser, values: parser._expect("STRING")[1],
-    "int": lambda parser, values: parser._expect("INT")[1],
-    "word": lambda parser, values: parser._expect("IDENT")[1],
-    "contribution": lambda parser, values: Contribution.from_text(
-        parser._expect("STRING")[1]),
-    "color": _Parser._color,
-    "grade": _Parser._grade,
-    "area": partial(_Parser._choice, hint="an area name (Customer, Solution, Endeavor)",
-                    what="area", choices={area.value: area for area in Area}),
-    "category": partial(_Parser._choice, hint="a category", what="category",
-                        choices={c.value: c for c in WorkProductCategory}),
-    "tag": partial(_Parser._choice, hint="an activity tag", what="tag",
-                   choices={tag: tag for tag in ACTIVITY_TAGS}),
-    "phase": partial(_Parser._choice, hint="a phase id (P, A-H, RM)", what="phase id",
-                     choices={phase: phase for phase in PHASE_IDS}),
+# Value kinds read from one token: its type and the value taken from ``t``.
+_TOKEN_KINDS = {"name": ("STRING", "t[1]"), "string": ("STRING", "t[1]"),
+                "contribution": ("STRING", "Contribution.from_text(t[1])"),
+                "int": ("INT", "t[1]"), "word": ("IDENT", "t[1]"),
+                "ident": ("IDENT", "t[1].replace('_', ' ')")}
+_EXPECTED = {"IDENT": "an identifier", "STRING": "a string", "INT": "an integer",
+             "AT": "'@'"}
+# Value kinds naming one of a fixed set: the hint, what an error calls the
+# value, and the values by their text.
+_CHOICES = {
+    "area": ("an area name (Customer, Solution, Endeavor)", "area",
+             {area.value: area for area in Area}),
+    "category": ("a category", "category", {c.value: c for c in WorkProductCategory}),
+    "tag": ("an activity tag", "tag", {tag: tag for tag in ACTIVITY_TAGS}),
+    "phase": ("a phase id (P, A-H, RM)", "phase id", {phase: phase for phase in PHASE_IDS}),
 }
+# What the "requires at least one ..." error calls a ``some`` clause.
+_AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
 
 
-def _reader(kind: str, what: str):
-    if kind in ("name", "ident"):
-        return partial(_Parser._named, what=what,
-                       token_type="STRING" if kind == "name" else "IDENT")
-    return _READERS[kind]
+def _at(offset: int) -> str:
+    return f"pos + {offset}" if offset else "pos"
 
 
-def _step(run: tuple[_Clause, ...], what: str) -> tuple:
-    clause = run[0]
-    if len(run) == 1 and clause.repeat in ("one", "opt"):
-        op = _VALUE if clause.repeat == "one" else _OPTIONAL
-        return (op, clause.field, clause.word, _reader(clause.kind, what))
-    words, field, need = {}, None, None
-    for clause in run:
+def _read(kind: str, at: int, what: str, local: str) -> tuple[list[str], str]:
+    """The lines that check a value of ``kind`` at ``at`` tokens past ``pos``,
+    and the value. A choice is looked up into ``local``; a color must match
+    ``area``."""
+    load, fail = f"t = tokens[{_at(at)}]", f"raise self._invalid({_at(at)}, {kind!r}"
+    if kind in _CHOICES:
+        return [load, f"{local} = _{kind.upper()}.get(t[1])",
+                f"if {local} is None or t[0] != 'IDENT': {fail})"], local
+    if kind == "color":
+        test, value = "t[1] != _COLORS[area] or t[0] != 'IDENT'", "area"
+        fail += ", area"
+    elif kind == "grade":
+        test = f"t[0] != 'IDENT' or tokens[{_at(at + 1)}][0] != 'AT' " \
+               f"or tokens[{_at(at + 2)}][0] != 'INT'"
+        value = f"CompetencyGrade(t[1].replace('_', ' '), tokens[{_at(at + 2)}][1])"
+    else:
+        token_type, value = _TOKEN_KINDS[kind]
+        test = f"t[0] != {token_type!r}"
+        if kind in ("name", "ident"):
+            test, fail = test + " or not _usable(t[1])", fail + f", {what!r}"
+    return [load, f"if {test}: {fail})"], value
+
+
+def _indented(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _value(clause: _Clause, what: str, at: int = 0) -> list[str]:
+    """The lines that read a ``one`` or ``opt`` clause, ``at`` past ``pos``."""
+    at += clause.word is not None
+    check, value = _read(clause.kind, at, what, clause.field)
+    lines = [*check, *([f"{clause.field} = {value}"] if value != clause.field else []),
+             f"pos += {at + (3 if clause.kind == 'grade' else 1)}"]
+    if clause.word is None:
+        return lines
+    test, hint = f"t[1] == {clause.word!r} and t[0] == 'IDENT'", f"'{clause.word}'"
+    if clause.repeat == "opt":
+        return ["t = tokens[pos]", f"if {test}:", *_indented(lines)]
+    return ["t = tokens[pos]", f"if not ({test}): raise self._found(pos, {hint!r})", *lines]
+
+
+def _run(run: tuple[_Clause, ...], what: str) -> list[str]:
+    """The lines that read a run of interleaved clauses into their lists."""
+    single = len(run) == 1
+    lines = ["t = tokens[pos]", f"while t[1] == {run[0].word!r} and t[0] == 'IDENT':"
+             if single else "while t[0] == 'IDENT':"]
+    for index, clause in enumerate(run):
         if clause.kind in GRAMMAR:
-            words[clause.word] = (clause.field, None, clause.kind)
+            item = [f"self.pos = pos; {clause.field}.append("
+                    f"parse_{clause.kind}(self, tokens, pos)); pos = self.pos"]
         else:
-            words[clause.word] = (clause.field, _reader(clause.kind, what), None)
+            check, value = _read(clause.kind, 1, what, "v")
+            width = 4 if clause.kind == "grade" else 2
+            item = [*check, f"{clause.field}.append({value}); pos += {width}"]
+        lines += _indented(item) if single else [
+            f"    {'el' if index else ''}if t[1] == {clause.word!r}:",
+            *_indented(_indented(item))]
+    lines += [*([] if single else ["    else: break"]), "    t = tokens[pos]"]
+    for clause in run:
         if clause.repeat == "some":
             noun = _AT_LEAST.get(clause.word, clause.word)
-            field = clause.field
-            need = (f"{what} requires at least one {noun}", f"'{clause.word}'")
-    return (_RUN, field, need, words)
+            message, hint = f"{what} requires at least one {noun}", f"'{clause.word}'"
+            lines.append(f"if not {clause.field}: "
+                         f"self._none_of(start, pos, {message!r}, {hint!r})")
+    return lines
 
 
-def _plan(block: _Block) -> tuple:
-    """``(element class, list fields, steps)``: what ``_Parser._block`` runs."""
-    what = "work product" if block.cls is WorkProduct else block.cls.kind
-    steps = [_step((clause,), what) for clause in block.head]
-    if block.braces != "no":
-        hint = None
-        if block.cls is Kernel:
-            hint = ", ".join(f"'{clause.word}'" for clause in block.body[0]) + ", or '}'"
-        steps.append((_OPEN, None, None, block.braces == "opt"))
-        steps.extend(_step(run, what) for run in block.body)
-        steps.append((_CLOSE, None, None, hint))
+def _clauses(runs, what: str, first: bool = False) -> list[str]:
+    """The lines that read ``runs``; the ``first`` of a block follows its keyword."""
+    return [line for index, run in enumerate(runs) for line in (
+        _value(run[0], what, first and index == 0) if run[0].repeat in ("one", "opt")
+        else _run(run, what))]
+
+
+def _function(key: str, block: _Block, scope: dict) -> str:
+    """The source of ``parse_<key>``; the names it reads go into ``scope``."""
+    cls, name = block.cls, block.cls.__name__
+    what = "work product" if cls is WorkProduct else cls.kind
     clauses = [*block.head, *(clause for run in block.body for clause in run)]
-    lists = dict.fromkeys(c.field for c in clauses if c.repeat in ("many", "some"))
-    return block.cls, tuple(lists), tuple(steps)
+    lists = [c.field for c in clauses if c.repeat in ("many", "some")]
+    scope[name] = cls
+    scope.update({f"_{name}_{f}": v for f, v in vars(cls).items() if f in cls._shown})
+    lines = ["start = tokens[pos]", *(f"{field} = []" for field in dict.fromkeys(lists)),
+             *(f"{c.field} = _{name}_{c.field}" for c in clauses if c.repeat == "opt"),
+             *_clauses([(clause,) for clause in block.head], what, first=True)]
+    if block.braces != "no":
+        hint, where = "'}'", ""
+        if cls is Kernel:
+            hint = ", ".join(f"'{clause.word}'" for clause in block.body[0]) + ", or '}'"
+            where = ", ' in kernel body'"
+        body = [*_clauses(block.body, what), "if tokens[pos][0] != 'RBRACE': "
+                f"raise self._found(pos, {hint!r}{where})", "pos += 1"]
+        if block.braces == "opt":
+            lines += ["if tokens[pos][0] == 'LBRACE':", *_indented(["pos += 1", *body])]
+        else:
+            lines += ["if tokens[pos][0] != 'LBRACE': raise self._found(pos, \"'{'\")",
+                      "pos += 1", *body]
+    if cls is ActivitySpec:
+        lines += ["tags = tuple(dict.fromkeys(tags))",
+                  "if not tags and not sub_activities:",
+                  "    self.pos = pos",
+                  "    raise self._fail(f'activity {name!r} requires at least one tag "
+                  "or sub-activities', token=start)"]
+    written = {clause.field for clause in clauses}
+    fields = ", ".join(f"tuple({f})" if f in lists else f if f in written else f"_{name}_{f}"
+                       for f in cls._shown)
+    return "\n".join([f"def parse_{key}(self, tokens, pos):", *_indented([
+        *lines, "end = tokens[pos - 1]", "self.pos = pos", f"return {name}({fields}, "
+        "SourceSpan(self.file, start[2], start[3], end[4], end[5]))"])])
 
 
-_PLANS = {key: _plan(block) for key, block in GRAMMAR.items()}
-_TOP = {clause.word: clause.kind for clause in _DOCUMENT}
+_SCOPE = {"CompetencyGrade": CompetencyGrade, "Contribution": Contribution,
+          "SourceSpan": SourceSpan, "_usable": _usable,
+          "_COLORS": {area: area.color for area in Area},
+          **{f"_{kind.upper()}": choices for kind, (_, _, choices) in _CHOICES.items()}}
+# The generated source, kept for reading and for the hygiene tests.
+_SOURCE = "\n".join(_function(key, block, _SCOPE) for key, block in GRAMMAR.items())
+exec(compile(_SOURCE, "<esskit.dsl GRAMMAR>", "exec"), _SCOPE)
+
+# A document is one run of top-level blocks, in this order in hints.
+_DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
+                  for word in ("kernel", "practice", "method", "role", "togaf_phase"))
+_TOP = {clause.word: _SCOPE[f"parse_{clause.kind}"] for clause in _DOCUMENT}
 _TOP_HINT = "one of " + ", ".join(f"'{word}'" for word in _TOP)
 
 

@@ -135,6 +135,21 @@ def test_lint_unknown_rule_is_usage_error(cli, corpus_dir):
     assert (code, out) == (2, "") and "unknown lint rule(s) L9;" in err
 
 
+def test_lint_checks_rule_ids_before_reading_input(cli, tmp_path):
+    missing = str(tmp_path / "missing.ess")
+    code, out, err = cli("lint", "--disable", "L01", missing)
+    assert (code, out) == (2, "")
+    assert err == ("unknown lint rule(s) L01; valid ids are "
+                   "L001, L002, L003, L004\n")
+    broken = tmp_path / "broken.ess"
+    broken.write_text('kernel "K" {\n', encoding="utf-8")
+    code, out, err = cli("lint", "--enable", "L9", str(broken))
+    assert (code, out) == (2, "")
+    assert err.startswith("unknown lint rule(s) L9; ")
+    code, out, err = cli("lint", "--enable", "L001", str(broken))
+    assert code == 1 and "P001" in out
+
+
 def test_map_phase_emits_canonical_practice(cli, corpus_dir):
     args = _corpus_args(corpus_dir)
     code, out, err = cli("map", "--phase", "B", *args)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
 import os
 import random
@@ -499,6 +500,26 @@ def test_parse_lexes_through_the_public_tokenize_once(monkeypatch):
         assert calls == [(source, file)]
 
 
+def test_parse_calls_neither_exec_nor_compile(monkeypatch):
+    # The block functions are generated once, when esskit.dsl is imported.
+    sources = [text for name, text in sorted(togaf.corpus_files().items())
+               if name.endswith(".ess")]
+    sources += ['kernel "K" { area Customer color red }', _nested_spaces(3000)]
+
+    calls = []
+    for name in ("exec", "compile"):
+        call = getattr(builtins, name)
+        monkeypatch.setattr(builtins, name, lambda *args, name=name, call=call, **kwargs:
+                            calls.append(name) or call(*args, **kwargs))
+    for source in sources:
+        try:
+            dsl.parse(source)
+        except ParseError:
+            pass
+    monkeypatch.undo()
+    assert calls == []
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(source=_mutated_corpus())
 def test_parse_is_total_on_mutated_corpus(source):
@@ -633,21 +654,10 @@ def _walk_lines(document: ModelDocument):
     yield render.render_canonical(document)
 
 
-# Parses 3,000 nested spaces in a fresh interpreter with the default
-# recursion limit and prints where the "nested too deeply" error points.
-_TOO_DEEP = """import sys
-from esskit import dsl
-from esskit.diagnostics import ParseError
-try:
-    dsl.parse(sys.stdin.read(), "deep.ess")
-except ParseError as failure:
-    print(failure.diagnostics[-1].message, failure.diagnostics[-1].span)
-"""
-
 # sha256 of the walk lines of the corpus files and of 200 generated
-# documents, each parsed from its canonical text, and of the "nested too
-# deeply" diagnostic, taken from the step-interpreting parser.
-_PARSE_OUTCOMES_SHA256 = "c3347c914d1515721d69899d8d4c40ed7ff332348eedffb0eed103bf86b876cb"
+# documents, each parsed from its canonical text. Taken from the parser that
+# interpreted step tuples, which gave the same value.
+_PARSE_OUTCOMES_SHA256 = "012bf27b116692bc2ac98e74a1efbbc4348783a3887f9c58177b7c003389435c"
 
 
 def test_parse_outcomes_are_unchanged():
@@ -661,12 +671,54 @@ def test_parse_outcomes_are_unchanged():
         text = render.render_canonical(generate_document(rng))
         for line in _walk_lines(dsl.parse(text, f"generated-{index}.ess")):
             digest.update(line.encode("utf-8") + b"\n")
-    done = subprocess.run([sys.executable, "-c", _TOO_DEEP], input=_nested_spaces(3000),
+    assert digest.hexdigest() == _PARSE_OUTCOMES_SHA256
+
+
+# In a fresh interpreter with the default recursion limit: the most nested
+# spaces ``parse`` accepts, then where the "nested too deeply" error points
+# in the source on standard input.
+_TOO_DEEP = """import sys
+from esskit import dsl
+from esskit.diagnostics import ParseError
+
+def nested(levels):
+    return ('practice "P" area Customer { goal "g" ' + 'space "S" { ' * levels
+            + "} " * levels + "}")
+
+low, high = 1, 2000
+while low < high:
+    middle = (low + high + 1) // 2
+    try:
+        dsl.parse(nested(middle))
+        low = middle
+    except ParseError:
+        high = middle - 1
+print(low)
+try:
+    dsl.parse(sys.stdin.read(), "deep.ess")
+except ParseError as failure:
+    span = failure.diagnostics[-1].span
+    print(failure.diagnostics[-1].message, span.start_col, span.end_col)
+"""
+
+
+def test_too_deep_error_points_at_the_deepest_level_reached():
+    source = _nested_spaces(3000)
+    done = subprocess.run([sys.executable, "-c", _TOO_DEEP], input=source,
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert done.stdout.startswith("blocks nested too deeply to parse SourceSpan(")
-    digest.update(done.stdout.encode("utf-8"))
-    assert digest.hexdigest() == _PARSE_OUTCOMES_SHA256
+    deepest, failure = done.stdout.splitlines()
+    message, start_col, end_col = failure.rsplit(" ", 2)
+    assert message == "blocks nested too deeply to parse"
+    # Each level costs the parser one frame: the 1,000 frames of the
+    # default limit hold 989 levels and the frames below them.
+    assert int(deepest) >= 989
+    # The error points at the keyword or the name of a space a few levels
+    # past the deepest that parses, not at a token read before.
+    token = source[int(start_col) - 1:int(end_col)]
+    level = source.count("space", 0, int(end_col))
+    assert token in ("space", '"S"')
+    assert int(deepest) < level <= int(deepest) + 8
 
 
 def _filled_clauses(documents):
