@@ -317,7 +317,7 @@ class _Parser:
         return self._fail(f"found {_describe(self.current)}{where}", hint=hint)
 
     def _invalid(self, pos: int, kind: str, about=None) -> _SyntaxFailure:
-        """Why a value of ``kind`` is refused; ``about`` names its owner or area."""
+        """Why a value of ``kind`` is refused; ``about``: a name's owner, a color's area."""
         if kind == "grade":
             for pos, token_type in enumerate(("IDENT", "AT", "INT"), pos):
                 if self.tokens[pos][0] != token_type:
@@ -340,8 +340,7 @@ class _Parser:
         return self._fail(message, token=token)
 
     def _none_of(self, start: tuple, pos: int, message: str, hint: str) -> None:
-        """A run that needs a clause has none. A missing goal is recorded, not
-        raised, so that it hides no later finding; its span ends at ``pos``."""
+        """A run that needs a clause has none; a missing goal is recorded, not raised."""
         if hint != "'goal'":
             self.pos = pos
             raise self._fail(message, hint=hint)
@@ -380,12 +379,11 @@ class _Parser:
 
 
 # The block functions, generated from GRAMMAR at import ------------------------
-# ``parse_<key>(parser, tokens, pos)`` reads block ``key``, whose keyword at
-# ``pos`` the caller has checked, and returns its element with ``parser.pos``
-# just past it. It keeps the cursor in ``pos``, tests token types inline and
-# builds the element positionally. It stores the cursor in ``parser.pos``
-# before each raise and child block call, so that recovery and the "nested too
-# deeply" error start from a token it reached. Each nesting level is one frame.
+# ``parse_<key>(parser, tokens, pos)`` reads block ``key`` from its keyword at
+# ``pos``, which the caller checked, returns its element with ``parser.pos`` past
+# it, and costs one frame. It keeps the cursor in ``pos``, tests token types inline,
+# builds the element positionally, and stores the cursor in ``parser.pos`` before
+# each raise and child block call, so recovery starts from a token it reached.
 
 # Value kinds read from one token: its type and the value taken from ``t``.
 _TOKEN_KINDS = {"name": ("STRING", "t[1]"), "string": ("STRING", "t[1]"),
@@ -394,8 +392,7 @@ _TOKEN_KINDS = {"name": ("STRING", "t[1]"), "string": ("STRING", "t[1]"),
                 "ident": ("IDENT", "t[1].replace('_', ' ')")}
 _EXPECTED = {"IDENT": "an identifier", "STRING": "a string", "INT": "an integer",
              "AT": "'@'"}
-# Value kinds naming one of a fixed set: the hint, what an error calls the
-# value, and the values by their text.
+# Value kinds naming one of a set: the hint, what errors call it, the values.
 _CHOICES = {
     "area": ("an area name (Customer, Solution, Endeavor)", "area",
              {area.value: area for area in Area}),
@@ -485,8 +482,8 @@ def _clauses(runs, what: str, first: bool = False) -> list[str]:
         else _run(run, what))]
 
 
-def _function(key: str, block: _Block, scope: dict) -> str:
-    """The source of ``parse_<key>``; the names it reads go into ``scope``."""
+def _define(key: str, block: _Block, scope: dict) -> str:
+    """Define ``parse_<key>`` and the names it reads in ``scope``; return its source."""
     cls, name = block.cls, block.cls.__name__
     what = "work product" if cls is WorkProduct else cls.kind
     clauses = [*block.head, *(clause for run in block.body for clause in run)]
@@ -517,18 +514,21 @@ def _function(key: str, block: _Block, scope: dict) -> str:
     written = {clause.field for clause in clauses}
     fields = ", ".join(f"tuple({f})" if f in lists else f if f in written else f"_{name}_{f}"
                        for f in cls._shown)
-    return "\n".join([f"def parse_{key}(self, tokens, pos):", *_indented([
+    source = "\n".join([f"def parse_{key}(self, tokens, pos):", *_indented([
         *lines, "end = tokens[pos - 1]", "self.pos = pos", f"return {name}({fields}, "
         "SourceSpan(self.file, start[2], start[3], end[4], end[5]))"])])
+    # One compile per function: one of all of them would leave the compiler's
+    # peak, about 0.9 MB, in the process's resident memory.
+    exec(compile(source, "<esskit.dsl GRAMMAR>", "exec"), scope)
+    return source
 
 
 _SCOPE = {"CompetencyGrade": CompetencyGrade, "Contribution": Contribution,
           "SourceSpan": SourceSpan, "_usable": _usable,
           "_COLORS": {area: area.color for area in Area},
           **{f"_{kind.upper()}": choices for kind, (_, _, choices) in _CHOICES.items()}}
-# The generated source, kept for reading and for the hygiene tests.
-_SOURCE = "\n".join(_function(key, block, _SCOPE) for key, block in GRAMMAR.items())
-exec(compile(_SOURCE, "<esskit.dsl GRAMMAR>", "exec"), _SCOPE)
+for _item in GRAMMAR.items():
+    _define(*_item, _SCOPE)
 
 # A document is one run of top-level blocks, in this order in hints.
 _DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
