@@ -44,7 +44,6 @@ validator. Syntax errors and same-file duplicate ids raise
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .diagnostics import Diagnostic, ParseError, Record, Severity, SourceSpan, ordered
 from .model import (
@@ -183,10 +182,8 @@ def tokenize(source: str, file: str = "<input>") -> list[tuple]:
     return tokens
 
 
-@lru_cache(maxsize=1024)
 def _usable(name: str) -> bool:
-    """Whether a declared name yields an id. Underscores, like the spaces
-    they encode, are not usable characters."""
+    """Whether a declared name yields an id."""
     try:
         slug(name)
     except ValueError:
@@ -427,7 +424,7 @@ def _read(kind: str, at: int, what: str, local: str) -> tuple[list[str], str]:
         token_type, value = _TOKEN_KINDS[kind]
         test = f"t[0] != {token_type!r}"
         if kind in ("name", "ident"):
-            test, fail = test + " or not _usable(t[1])", fail + f", {what!r}"
+            test, fail = test + f" or not _usable({value})", fail + f", {what!r}"
     return [load, f"if {test}: {fail})"], value
 
 
