@@ -286,6 +286,14 @@ GRAMMAR: dict[str, _Block] = {
         ((_Clause("activity", "sub_activities", "spec_activity", "many"),),), "opt"),
 }
 
+# A document is one run of top-level blocks, in this order in hints.
+_DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
+                  for word in ("kernel", "practice", "method", "role", "togaf_phase"))
+
+# What the "requires at least one ..." error calls a ``some`` clause.
+_AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
+
+
 # The parser -------------------------------------------------------------------
 
 
@@ -397,8 +405,6 @@ _CHOICES = {
     "tag": ("an activity tag", "tag", {tag: tag for tag in ACTIVITY_TAGS}),
     "phase": ("a phase id (P, A-H, RM)", "phase id", {phase: phase for phase in PHASE_IDS}),
 }
-# What the "requires at least one ..." error calls a ``some`` clause.
-_AT_LEAST = {"check": "checklist item", "cycle": "cycle practice"}
 
 
 def _at(offset: int) -> str:
@@ -527,9 +533,6 @@ _SCOPE = {"CompetencyGrade": CompetencyGrade, "Contribution": Contribution,
 for _item in GRAMMAR.items():
     _define(*_item, _SCOPE)
 
-# A document is one run of top-level blocks, in this order in hints.
-_DOCUMENT = tuple(_Clause(word, "declarations", word, "many")
-                  for word in ("kernel", "practice", "method", "role", "togaf_phase"))
 _TOP = {clause.word: _SCOPE[f"parse_{clause.kind}"] for clause in _DOCUMENT}
 _TOP_HINT = "one of " + ", ".join(f"'{word}'" for word in _TOP)
 
