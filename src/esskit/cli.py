@@ -275,11 +275,12 @@ def _cmd_enact(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from . import lint, render
+    from . import render
 
     if args.format == "dot":
         _write(render.export_dot(_load(args, resolve=False)))
         return int(ExitStatus.OK)
+    from . import lint
     model = _load(args)
     diagnostics = ordered([*validator.check_wellformedness(model, max_depth=args.max_depth),
                            *lint.run_lints(model)])

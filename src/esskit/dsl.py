@@ -28,8 +28,9 @@ newline-insensitive):
 
 :data:`GRAMMAR` is this grammar as data: at import, one parse function per
 block is generated from it, and :func:`esskit.render.render_canonical` writes
-it. So a clause exists in one place and rendered text parses back to the
-same document. A phase's ``output`` needs its category.
+it; :data:`_KINDS` states how each kind of value is read and written. So a
+clause exists in one place and rendered text parses back to the same
+document. A phase's ``output`` needs its category.
 
 IDENT tokens encode display-name spaces as underscores
 (``Stakeholder_Representation`` names "Stakeholder Representation").
@@ -198,8 +199,8 @@ class _Clause(Record):
     """One clause of a block: ``word`` then a value, or a child block.
 
     ``word`` is None for a value written right after the block's keyword.
-    ``kind`` names a value kind (a key of the parser's value kinds and of
-    the renderer's writers) or a child block (a key of :data:`GRAMMAR`).
+    ``kind`` names a value kind (a key of :data:`_KINDS`) or a child block
+    (a key of :data:`GRAMMAR`).
     ``repeat`` is ``one``, ``opt``, ``many`` or ``some`` (one or more).
     """
 
@@ -328,15 +329,13 @@ class _Parser:
                 if self.tokens[pos][0] != token_type:
                     break
             return self._found(pos, _EXPECTED[token_type])
-        token = self.tokens[pos]
-        token_type = _TOKEN_KINDS[kind][0] if kind in _TOKEN_KINDS else "IDENT"
-        hint, what, choices = _CHOICES.get(kind, (_EXPECTED[token_type], "", ()))
-        if token[0] != token_type:
-            return self._found(pos, "a color name" if kind == "color" else hint)
+        token, value_kind = self.tokens[pos], _KINDS[kind]
+        if token[0] != value_kind.token:
+            return self._found(pos, value_kind.hint)
         self.pos = pos + 1
-        if choices:
-            return self._fail(f"unknown {what} {token[1]!r}", token=token,
-                              hint="one of " + ", ".join(choices))
+        if value_kind.choices:
+            return self._fail(f"unknown {value_kind.noun} {token[1]!r}", token=token,
+                              hint="one of " + ", ".join(value_kind.choices))
         if kind == "color":
             message = f"area {about.value} must be {about.color}, not {token[1]!r}"
         else:
@@ -383,29 +382,99 @@ class _Parser:
             self.pos += 1
 
 
+# Value kinds, read by the parser and written by the canonical renderer --------
+
+_EXPECTED = {"IDENT": "an identifier", "STRING": "a string", "INT": "an integer", "AT": "'@'"}
+# Full matches of the lexer's own IDENT and INT patterns.
+_IDENT = re.compile(_TOKEN_PATTERNS["IDENT"], re.VERBOSE).fullmatch
+_INT = re.compile(_TOKEN_PATTERNS["INT"]).fullmatch
+
+
+def _string(text: str) -> str:
+    # The lexer's STRING pattern takes any text whose quotes are escaped,
+    # except a backslash of its own or a line break.
+    if "\\" in text or "\n" in text:
+        raise ValueError(f"text {text!r} is not representable as a string")
+    return '"' + text.replace('"', '\\"') + '"'
+
+
+def _identifier(name: str) -> str:
+    encoded = name.replace(" ", "_")
+    if "_" in name or _IDENT(encoded) is None:  # the reader reads "_" as " "
+        raise ValueError(f"name {name!r} is not representable as an identifier")
+    return encoded
+
+
+def _named(write):  # the reader refuses a declared name that yields no id
+    return lambda name: slug(name) and write(name)
+
+
+def _int(level: int) -> str:
+    if _INT(str(level)) is None:
+        raise ValueError(f"level {level!r} is not representable as an integer")
+    return str(level)
+
+
+def _word(text: str) -> str:
+    if _IDENT(text) is None:
+        raise ValueError(f"tag {text!r} is not representable as an identifier")
+    return text
+
+
+def _contribution(contribution: Contribution) -> str:
+    if ": " in contribution.work_product:  # the reader splits at the first ": "
+        raise ValueError(f"work product {contribution.work_product!r} is not "
+                         "representable in a contribution")
+    return _string(contribution.rendered_name())
+
+
+class _Kind:
+    """One value kind: the type of the token its value starts at, the source
+    of what the reader takes from that token ``t`` (``{local}``: the name a
+    choice is looked up into; ``{level}``: where a grade's level is), what a
+    refusal reports, and the writer, which raises ValueError for exactly the
+    values the reader would refuse or give back changed. A choice maps each
+    word of its set to a value, and is written as that word."""
+
+    def __init__(self, token: str, value: str, write=None, hint=None, noun="", choices=()):
+        self.token, self.value, self.noun, self.choices = token, value, noun, choices
+        self.hint, self.write = hint or _EXPECTED[token], write or self._choice
+        self.words = {choice: word for word, choice in dict(choices).items()}
+
+    def _choice(self, value) -> str:
+        word = self.words.get(value)
+        if word is None:
+            raise ValueError(f"{self.noun} {value!r} is not one of {', '.join(self.choices)}")
+        return word
+
+
+_KINDS = {
+    "name": _Kind("STRING", "t[1]", _named(_string)),
+    "string": _Kind("STRING", "t[1]", _string),
+    "contribution": _Kind("STRING", "Contribution.from_text(t[1])", _contribution),
+    "int": _Kind("INT", "t[1]", _int),
+    "word": _Kind("IDENT", "t[1]", _word),
+    "ident": _Kind("IDENT", "t[1].replace('_', ' ')", _named(_identifier)),
+    "area": _Kind("IDENT", "{local}", hint="an area name (Customer, Solution, Endeavor)",
+                  noun="area", choices={area.value: area for area in Area}),
+    "category": _Kind("IDENT", "{local}", hint="a category", noun="category",
+                      choices={c.value: c for c in WorkProductCategory}),
+    "tag": _Kind("IDENT", "{local}", hint="an activity tag", noun="tag",
+                 choices={tag: tag for tag in ACTIVITY_TAGS}),
+    "phase": _Kind("IDENT", "{local}", hint="a phase id (P, A-H, RM)", noun="phase id",
+                   choices={phase: phase for phase in PHASE_IDS}),
+    "color": _Kind("IDENT", "area", lambda area: area.color, "a color name"),
+    "grade": _Kind("IDENT", "CompetencyGrade(t[1].replace('_', ' '), tokens[{level}][1])",
+                   lambda grade: f"{_identifier(grade.competency)} @ {_int(grade.level)}"),
+}
+
+
 # The block functions, generated from GRAMMAR at import ------------------------
 # ``parse_<key>(parser, tokens, pos)`` reads block ``key`` from its keyword at
 # ``pos``, which the caller checked, returns its element with ``parser.pos`` past
 # it, and costs one frame. It keeps the cursor in ``pos``, tests token types inline,
 # builds the element positionally, and stores the cursor in ``parser.pos`` before
 # each raise and child block call, so recovery starts from a token it reached.
-
-# Value kinds read from one token: its type and the value taken from ``t``.
-_TOKEN_KINDS = {"name": ("STRING", "t[1]"), "string": ("STRING", "t[1]"),
-                "contribution": ("STRING", "Contribution.from_text(t[1])"),
-                "int": ("INT", "t[1]"), "word": ("IDENT", "t[1]"),
-                "ident": ("IDENT", "t[1].replace('_', ' ')")}
-_EXPECTED = {"IDENT": "an identifier", "STRING": "a string", "INT": "an integer",
-             "AT": "'@'"}
-# Value kinds naming one of a set: the hint, what errors call it, the values.
-_CHOICES = {
-    "area": ("an area name (Customer, Solution, Endeavor)", "area",
-             {area.value: area for area in Area}),
-    "category": ("a category", "category", {c.value: c for c in WorkProductCategory}),
-    "tag": ("an activity tag", "tag", {tag: tag for tag in ACTIVITY_TAGS}),
-    "phase": ("a phase id (P, A-H, RM)", "phase id", {phase: phase for phase in PHASE_IDS}),
-}
-
 
 def _at(offset: int) -> str:
     return f"pos + {offset}" if offset else "pos"
@@ -415,22 +484,19 @@ def _read(kind: str, at: int, what: str, local: str) -> tuple[list[str], str]:
     """The lines that check a value of ``kind`` at ``at`` tokens past ``pos``,
     and the value. A choice is looked up into ``local``; a color must match
     ``area``."""
+    value_kind = _KINDS[kind]
     load, fail = f"t = tokens[{_at(at)}]", f"raise self._invalid({_at(at)}, {kind!r}"
-    if kind in _CHOICES:
+    test = f"t[0] != {value_kind.token!r}"
+    value = value_kind.value.format(local=local, level=_at(at + 2))
+    if value_kind.choices:
         return [load, f"{local} = _{kind.upper()}.get(t[1])",
-                f"if {local} is None or t[0] != 'IDENT': {fail})"], local
+                f"if {local} is None or {test}: {fail})"], value
     if kind == "color":
-        test, value = "t[1] != _COLORS[area] or t[0] != 'IDENT'", "area"
-        fail += ", area"
+        test, fail = "t[1] != _COLORS[area] or " + test, fail + ", area"
     elif kind == "grade":
-        test = f"t[0] != 'IDENT' or tokens[{_at(at + 1)}][0] != 'AT' " \
-               f"or tokens[{_at(at + 2)}][0] != 'INT'"
-        value = f"CompetencyGrade(t[1].replace('_', ' '), tokens[{_at(at + 2)}][1])"
-    else:
-        token_type, value = _TOKEN_KINDS[kind]
-        test = f"t[0] != {token_type!r}"
-        if kind in ("name", "ident"):
-            test, fail = test + f" or not _usable({value})", fail + f", {what!r}"
+        test += f" or tokens[{_at(at + 1)}][0] != 'AT' or tokens[{_at(at + 2)}][0] != 'INT'"
+    elif kind in ("name", "ident"):
+        test, fail = test + f" or not _usable({value})", fail + f", {what!r}"
     return [load, f"if {test}: {fail})"], value
 
 
@@ -529,7 +595,7 @@ def _define(key: str, block: _Block, scope: dict) -> str:
 _SCOPE = {"CompetencyGrade": CompetencyGrade, "Contribution": Contribution,
           "SourceSpan": SourceSpan, "_usable": _usable,
           "_COLORS": {area: area.color for area in Area},
-          **{f"_{kind.upper()}": choices for kind, (_, _, choices) in _CHOICES.items()}}
+          **{f"_{kind.upper()}": k.choices for kind, k in _KINDS.items() if k.choices}}
 for _item in GRAMMAR.items():
     _define(*_item, _SCOPE)
 

@@ -131,11 +131,10 @@ def active_practices(state: EnactmentState) -> frozenset[str]:
 
 
 def visitation(method: Method, steps: int) -> list[str]:
-    """Practice ids of the first ``steps`` enactment positions."""
-    if steps <= 0:
-        return []
+    """Practice ids of the first ``steps`` enactment positions of a method
+    that :func:`start_enactment` accepts, whatever ``steps`` is."""
     head, ids = start_enactment(method)._positions()
-    return [*head, *islice(cycle(ids), steps - len(head))]
+    return [*head, *islice(cycle(ids), steps - len(head))] if steps > 0 else []
 
 
 def practice_progress(practice: Practice, done: Iterable[str]) -> float:

@@ -3,19 +3,15 @@
 ``render_canonical`` is the inverse of :func:`esskit.dsl.parse` up to source
 spans: fixed two-space indentation, declaration order preserved, one block
 member per line, every optional attribute written explicitly. It writes the
-clauses of :data:`esskit.dsl.GRAMMAR`, the table the parser reads, so
-parsing the rendered text reproduces a structurally equal document, and
-rendering is idempotent.
+clauses of :data:`esskit.dsl.GRAMMAR` with the writers of the value kinds
+the parser reads them as, so parsing the rendered text reproduces a
+structurally equal document, and rendering is idempotent.
 """
 
 from __future__ import annotations
 
-import re
-
-from .dsl import _DOCUMENT, _TOKEN_PATTERNS, GRAMMAR
+from .dsl import _DOCUMENT, _KINDS, GRAMMAR
 from .model import (
-    ACTIVITY_TAGS,
-    PHASE_IDS,
     Activity,
     Alpha,
     AlphaState,
@@ -33,78 +29,16 @@ from .model import (
     walk_specs,
 )
 
-# Full matches of the lexer's own IDENT and INT patterns.
-_IDENT = re.compile(_TOKEN_PATTERNS["IDENT"], re.VERBOSE).fullmatch
-_INT = re.compile(_TOKEN_PATTERNS["INT"]).fullmatch
-
-
-def _string(value: str) -> str:
-    # The lexer's STRING pattern takes any text whose quotes are escaped,
-    # except a backslash of its own or a line break.
-    if "\\" in value or "\n" in value:
-        raise ValueError(f"text {value!r} is not representable as a string")
-    return '"' + value.replace('"', '\\"') + '"'
-
-
-def _ident(name: str) -> str:
-    encoded = name.replace(" ", "_")
-    if "_" in name or _IDENT(encoded) is None:  # the parser reads "_" as " "
-        raise ValueError(f"name {name!r} is not representable as an identifier")
-    return encoded
-
-
-def _int(level: int) -> str:
-    if _INT(str(level)) is None:
-        raise ValueError(f"level {level!r} is not representable as an integer")
-    return str(level)
-
-
-def _contribution(contribution) -> str:
-    if ": " in contribution.work_product:  # the parser splits at the first ": "
-        raise ValueError(f"work product {contribution.work_product!r} is not "
-                         "representable in a contribution")
-    return _string(contribution.rendered_name())
-
-
-def _word(text: str) -> str:
-    if _IDENT(text) is None:
-        raise ValueError(f"tag {text!r} is not representable as an identifier")
-    return text
-
-
-def _one_of(what: str, choices: tuple[str, ...]):
-    def write(value: str) -> str:
-        if value not in choices:
-            raise ValueError(f"{what} {value!r} is not one of {', '.join(choices)}")
-        return value
-
-    return write
-
-
-# One writer per value kind of the grammar.
-_WRITERS = {
-    "int": _int,
-    "word": _word,
-    "tag": _one_of("activity tag", ACTIVITY_TAGS),
-    "phase": _one_of("phase id", PHASE_IDS),
-    "name": _string,
-    "string": _string,
-    "ident": _ident,
-    "area": lambda area: _ident(area.value),
-    "color": lambda area: area.color,
-    "category": lambda category: category.value,
-    "grade": lambda grade: f"{_ident(grade.competency)} @ {_int(grade.level)}",
-    "contribution": _contribution,
-}
-
 
 # How often a clause's value is written: once, when not None, or per item.
 _ONE, _OPT, _MANY = 0, 1, 2
 
 
-def _entry(clause, prefix: str) -> tuple:
-    repeat = {"one": _ONE, "opt": _OPT}.get(clause.repeat, _MANY)
-    return prefix, clause.field, _WRITERS[clause.kind], repeat, None
+def _entry(block, clause, prefix: str) -> tuple:
+    # An optional clause is left out for None only where the parser reads None back.
+    optional = clause.repeat == "opt" and getattr(block.cls, clause.field) is None
+    repeat = _OPT if optional else _MANY if clause.repeat in ("many", "some") else _ONE
+    return prefix, clause.field, _KINDS[clause.kind].write, repeat, None
 
 
 def _plan(block) -> tuple:
@@ -119,7 +53,7 @@ def _plan(block) -> tuple:
     ``required`` pairs the field of each ``some`` clause, which the parser
     needs at least once, with the clause's word.
     """
-    head = tuple(_entry(clause, f" {clause.word} " if clause.word else " ")
+    head = tuple(_entry(block, clause, f" {clause.word} " if clause.word else " ")
                  for clause in block.head)
     body: dict = {}
     for run in block.body:
@@ -128,7 +62,7 @@ def _plan(block) -> tuple:
                 entry = body.setdefault(clause.field, (None, clause.field, None, _MANY, {}))
                 entry[4][GRAMMAR[clause.kind].cls] = clause.kind
             else:
-                body[clause.field] = _entry(clause, f"{clause.word} ")
+                body[clause.field] = _entry(block, clause, f"{clause.word} ")
     written = {clause.field for clause in block.head} | body.keys()
     unwritten = tuple((field, getattr(block.cls, field))
                       for field in block.cls._shown if field not in written)
@@ -144,17 +78,16 @@ _DECLARATIONS = {GRAMMAR[clause.kind].cls: clause.kind for clause in _DOCUMENT}
 def render_canonical(document: ModelDocument) -> str:
     """Deterministic canonical DSL text for ``document``.
 
-    An empty document renders as empty text. Raises ValueError for names the
-    surface syntax cannot carry (backslashes, line breaks, an identifier
-    holding an underscore, a contributed work product holding ``": "``, or
-    names that do not survive the identifier encoding), for a field its
-    block has no clause for that differs from its default (a kernel space's
-    members, a practice space's area or parent), for an empty field the
-    parser needs at least one of (a practice's goals, a role's competencies,
-    a method's cycle, an alpha's states, a state's checklist), and for a
-    phase activity with no tag and no sub-activity or with a repeated tag;
-    and TypeError for an element the grammar has no place for, such as an
-    activity directly in a practice.
+    An empty document renders as empty text. Raises ValueError for a value
+    the parser would refuse or read back changed, which the writers of
+    :data:`esskit.dsl._KINDS` refuse (such as a name that yields no id), for
+    a field its block has no clause for that differs from its default (a
+    kernel space's members, a practice space's area or parent), for an empty
+    field the parser needs at least one of (a practice's goals, a role's
+    competencies, a method's cycle, an alpha's states, a state's checklist),
+    and for a phase activity with no tag and no sub-activity or with a
+    repeated tag; and TypeError for an element the grammar has no place for,
+    such as an activity directly in a practice.
     """
     lines: list[str] = []
     for declaration in document.declarations:

@@ -374,6 +374,15 @@ def test_check_and_enact_agree_on_unenactable_methods(cli, tmp_path, method, mes
     assert (code, out) == (1, "") and message in err
 
 
+def test_enact_steps_zero_refuses_an_unenactable_method(cli, tmp_path):
+    source = tmp_path / "m.ess"
+    source.write_text('practice "A" area Customer { goal "g" }\n'
+                      'method "m" { preamble "A" cycle "A" }\n')
+    argv = ("enact", "--method", "m", "--steps", "0", str(source))
+    assert cli(*argv) == cli(*argv, "--trace") == (
+        1, "", "method 'm' lists preamble 'A' inside the cycle\n")
+
+
 def test_map_accepts_specs_nested_as_deep_as_check(cli, tmp_path):
     depth = 700
     deep = tmp_path / "deep.ess"

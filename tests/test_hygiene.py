@@ -8,7 +8,9 @@ referenced somewhere in the package outside its own definition. No function
 calls itself except the grammar walkers, which spend one frame per nesting
 level by design. The parser's block functions, generated from the grammar
 when ``esskit.dsl`` is imported, are scanned with the package's modules.
-The CLI module loads only what every command needs.
+The CLI module loads only what every command needs, and a dot export does
+not load the linter. Only the grammar module refers to the lexer's token
+patterns, so each value kind is read and written in one place.
 """
 
 from __future__ import annotations
@@ -180,6 +182,37 @@ def test_cli_import_loads_no_command_specific_module():
     assert {"esskit.cli", "esskit.dsl", "esskit.validator"} <= loaded
     assert not loaded & {"dataclasses", "json", "esskit.render", "esskit.togaf",
                          "esskit.lint", "esskit.progress"}
+
+
+def _refers_to(source: str, name: str) -> bool:
+    """Whether ``source`` imports, reads or assigns ``name``, also as an attribute."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               or isinstance(node, ast.alias) and node.name == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_only_the_grammar_states_the_token_patterns():
+    # Each value kind's reader and writer are stated once, in dsl.py, which
+    # also holds the lexer's patterns they follow.
+    assert [path.name for path in PACKAGE.glob("*.py") if path.name != "dsl.py"
+            and _refers_to(path.read_text(encoding="utf-8"), "_TOKEN_PATTERNS")] == []
+    assert _refers_to((PACKAGE / "dsl.py").read_text(encoding="utf-8"), "_TOKEN_PATTERNS")
+    for source in ("from .dsl import _TOKEN_PATTERNS\n", "x = dsl._TOKEN_PATTERNS\n"):
+        assert _refers_to(source, "_TOKEN_PATTERNS")
+
+
+def test_dot_export_loads_no_linter(tmp_path):
+    source = tmp_path / "p.ess"
+    source.write_text('practice "P" area Customer { goal "g" }\n', encoding="utf-8")
+    code = ("import sys; from esskit.cli import run; "
+            f"code = run(['export', '--format', 'dot', {str(source)!r}]); "
+            "print(code, 'esskit.lint' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True)
+    assert done.stdout.startswith("digraph essence {")
+    assert done.stderr == "0 False\n"
 
 
 def test_every_public_name_resolves():

@@ -266,8 +266,9 @@ def test_every_accessor_refuses_an_unenactable_state(enactment, negative):
                      lambda: state.trace, lambda: active_practices(state)):
             with pytest.raises(EnactmentError, match=message):
                 read()
-    with pytest.raises(EnactmentError, match="empty cycle"):
-        visitation(empty, step + 1)
+    for steps in (0, step + 1):
+        with pytest.raises(EnactmentError, match="empty cycle"):
+            visitation(empty, steps)
 
 
 def test_corpus_method_enacts(corpus):
