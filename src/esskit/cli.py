@@ -226,10 +226,11 @@ def _cmd_map(args) -> int:
     try:
         practices = [togaf.map_phase(phase, model, max_depth=args.max_depth)
                      for phase in phases]
-    except togaf.MappingError as failure:
+        text = render.render_canonical(ModelDocument(practices))
+    except (togaf.MappingError, ValueError, TypeError) as failure:
         print(str(failure), file=sys.stderr)
         return int(ExitStatus.DIAGNOSTICS)
-    _write(render.render_canonical(ModelDocument(practices)))
+    _write(text)
     return int(ExitStatus.OK)
 
 

@@ -69,7 +69,8 @@ from .model import (
     TogafPhase,
     WorkProduct,
     WorkProductCategory,
-    slug,
+    checked_name,
+    yields_id,
 )
 
 SYNTAX_RULE = "P001"
@@ -181,15 +182,6 @@ def tokenize(source: str, file: str = "<input>") -> list[tuple]:
     col = size - line_start + 1
     append(("EOF", "", line, col, line, col))
     return tokens
-
-
-def _usable(name: str) -> bool:
-    """Whether a declared name yields an id."""
-    try:
-        slug(name)
-    except ValueError:
-        return False
-    return True
 
 
 # The grammar ------------------------------------------------------------------
@@ -406,7 +398,7 @@ def _identifier(name: str) -> str:
 
 
 def _named(write):  # the reader refuses a declared name that yields no id
-    return lambda name: slug(name) and write(name)
+    return lambda name: write(checked_name(name))
 
 
 def _int(level: int) -> str:
@@ -593,7 +585,7 @@ def _define(key: str, block: _Block, scope: dict) -> str:
 
 
 _SCOPE = {"CompetencyGrade": CompetencyGrade, "Contribution": Contribution,
-          "SourceSpan": SourceSpan, "_usable": _usable,
+          "SourceSpan": SourceSpan, "_usable": yields_id,
           "_COLORS": {area: area.color for area in Area},
           **{f"_{kind.upper()}": k.choices for kind, k in _KINDS.items() if k.choices}}
 for _item in GRAMMAR.items():

@@ -75,25 +75,38 @@ ACTIVITY_TAGS = (
 PHASE_IDS = ("P", "A", "B", "C", "D", "E", "F", "G", "H", "RM")
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
+_ID_CHAR = re.compile(r"[A-Za-z0-9]").search
 
 
-# Parse-time name checks, every document walk and the exporters slug the
-# same names; one operation uses a few hundred distinct ones.
+def yields_id(name: str) -> bool:
+    """Whether ``name`` yields an id: its lowercase form holds an ASCII letter
+    or digit. Lowercasing keeps those, and turns a few other characters (such
+    as the Kelvin sign) into one."""
+    return _ID_CHAR(name) is not None or _ID_CHAR(name.lower()) is not None
+
+
+def checked_name(name: str) -> str:
+    """``name``; TypeError if it is not a string, ValueError if it yields no id."""
+    if not isinstance(name, str):
+        raise TypeError(f"name {name!r} is not a string")
+    if not yields_id(name):
+        raise ValueError(f"cannot derive an identifier from name {name!r}")
+    return name
+
+
+# Every document walk and the exporters slug the same names; one perfbench
+# ``projects`` operation (seed 1) slugs at most 485 distinct ones.
 @lru_cache(maxsize=1024)
 def slug(name: str) -> str:
-    """Lowercase identifier fragment for a display name.
-
-    Runs of non-alphanumerics collapse to a single underscore; a name that
-    yields nothing (e.g. pure punctuation) is rejected, on every call.
-    """
-    out = _SLUG_RE.sub("_", name.lower()).strip("_")
-    if not out:
-        raise ValueError(f"cannot derive an identifier from name {name!r}")
-    return out
+    """Lowercase identifier fragment for a display name, in which runs of
+    non-alphanumerics collapse to a single underscore; a name
+    :func:`checked_name` refuses is refused on every call."""
+    return _SLUG_RE.sub("_", checked_name(name).lower()).strip("_")
 
 
-def dotted_id(kind: str, name: str) -> str:
-    return f"{kind}.{slug(name)}"
+def dotted_id(kind: str, name: str, owner: str | None = None) -> str:
+    """``kind.slug``, qualified as ``owner/kind.slug`` when an owner id is given."""
+    return f"{owner}/{kind}.{slug(name)}" if owner else f"{kind}.{slug(name)}"
 
 
 class AreaDecl(Record, hidden=("span",)):
@@ -105,6 +118,8 @@ class AreaDecl(Record, hidden=("span",)):
 
     @property
     def name(self) -> str:
+        if not isinstance(self.area, Area):
+            raise TypeError(f"area {self.area!r} is not an Area")
         return self.area.value
 
 
@@ -391,10 +406,9 @@ def walk_specs(phase: TogafPhase
 
 
 def element_id(element, owner_id: str | None = None) -> str:
-    prefix = f"{owner_id}/" if owner_id else ""
     if isinstance(element, TogafPhase):
-        return prefix + dotted_id("phase", element.phase)
-    return prefix + dotted_id(element.kind, element.name)
+        return dotted_id("phase", element.phase, owner_id)
+    return dotted_id(element.kind, element.name, owner_id)
 
 
 class ModelDocument:

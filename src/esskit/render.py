@@ -85,10 +85,14 @@ def render_canonical(document: ModelDocument) -> str:
     kernel space's members, a practice space's area or parent), for an empty
     field the parser needs at least one of (a practice's goals, a role's
     competencies, a method's cycle, an alpha's states, a state's checklist),
-    and for a phase activity with no tag and no sub-activity or with a
-    repeated tag; and TypeError for an element the grammar has no place for,
-    such as an activity directly in a practice.
+    for a phase activity with no tag and no sub-activity or with a repeated
+    tag, and for a document in which two elements share an id, naming the
+    first such id; and TypeError for an element the grammar has no place
+    for, such as an activity directly in a practice.
     """
+    collisions = document.id_collisions()
+    if collisions:  # the parser refuses duplicate ids
+        raise ValueError(f"cannot render duplicate id {collisions[0][0]!r}")
     lines: list[str] = []
     for declaration in document.declarations:
         key = _DECLARATIONS.get(declaration.__class__)
@@ -321,9 +325,7 @@ def _work_product_ref(practice: Practice, own: str):
     local = {wp.name for wp in practice.outputs}
 
     def ref(name: str) -> str:
-        if name in local:
-            return f"{own}/{dotted_id('workproduct', name)}"
-        return dotted_id("workproduct", name)
+        return dotted_id("workproduct", name, own if name in local else None)
 
     return ref
 
@@ -342,7 +344,7 @@ def _step_records(phase: TogafPhase, own: str) -> list[dict]:
                 "name": spec.name,
                 "tags": list(spec.tags),
                 "feeds": [{
-                    "output": f"{own}/{dotted_id('workproduct', c.work_product)}",
+                    "output": dotted_id("workproduct", c.work_product, own),
                     "part": c.part,
                 } for c in spec.feeds],
                 "role": dotted_id("role", spec.role) if spec.role else None,

@@ -181,6 +181,34 @@ def test_map_without_phases(cli, tmp_path):
     assert code == 1 and "no phase specifications" in err
 
 
+def _phase_b(corpus_dir, tmp_path, steps: str) -> list[str]:
+    """The corpus kernel and roles, and a phase B with ``steps``."""
+    phase = tmp_path / "phase.ess"
+    phase.write_text(f'togaf_phase B "Business" {{ objective "o" {steps} }}\n')
+    return [str(corpus_dir / "kernel.ess"), str(corpus_dir / "roles.ess"), str(phase)]
+
+
+def test_map_refuses_steps_that_share_an_id(cli, corpus_dir, tmp_path):
+    # The mapped spaces would share an id, which check refuses as P002.
+    args = _phase_b(corpus_dir, tmp_path, 'step "Same" { activity "a" tag builds } '
+                    'step "Same" { activity "b" tag builds }')
+    assert cli("map", *args) == (
+        1, "", "cannot render duplicate id 'practice.phase_b/space.same'\n")
+
+
+def test_map_unknown_phase(cli, corpus_dir, tmp_path):
+    args = _phase_b(corpus_dir, tmp_path, 'step "S" { activity "a" tag builds }')
+    assert cli("map", "--phase", "C", *args) == (1, "", "no phase 'C' in the input\n")
+
+
+def test_map_refuses_a_tagged_activity_that_is_also_decomposed(cli, corpus_dir, tmp_path):
+    args = _phase_b(corpus_dir, tmp_path,
+                    'step "S" { activity "a" tag builds { activity "x" tag verifies } }')
+    assert cli("check", *args) == (0, "0 errors, 0 warnings\n", "")
+    assert cli("map", *args) == (
+        1, "", "phase B: activity 'S' > 'a' is decomposed and cannot also carry tags\n")
+
+
 def test_enact_trace_labels(cli, corpus_dir):
     code, out, err = cli("enact", "--method", "adm", "--steps", "10",
                          *_corpus_args(corpus_dir))

@@ -10,7 +10,9 @@ level by design. The parser's block functions, generated from the grammar
 when ``esskit.dsl`` is imported, are scanned with the package's modules.
 The CLI module loads only what every command needs, and a dot export does
 not load the linter. Only the grammar module refers to the lexer's token
-patterns, so each value kind is read and written in one place.
+patterns, so each value kind is read and written in one place. Only the
+model makes ids: no other module refers to ``slug`` or joins an owner's id
+to a ``dotted_id`` or ``element_id`` with a ``/`` of its own.
 """
 
 from __future__ import annotations
@@ -200,6 +202,50 @@ def test_only_the_grammar_states_the_token_patterns():
     assert _refers_to((PACKAGE / "dsl.py").read_text(encoding="utf-8"), "_TOKEN_PATTERNS")
     for source in ("from .dsl import _TOKEN_PATTERNS\n", "x = dsl._TOKEN_PATTERNS\n"):
         assert _refers_to(source, "_TOKEN_PATTERNS")
+
+
+_ID_MAKERS = {"dotted_id", "element_id"}
+
+
+def _id_joins(source: str) -> list[int]:
+    """The lines of the f-strings and ``+`` sums that put a ``/`` beside a
+    ``dotted_id`` or ``element_id`` call."""
+    def parts(node):
+        if isinstance(node, ast.JoinedStr):
+            return [value.value if isinstance(value, ast.FormattedValue) else value
+                    for value in node.values]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return parts(node.left) + parts(node.right)
+        return [node]
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.JoinedStr, ast.BinOp)):
+            found = parts(node)
+            if any(isinstance(part, ast.Constant) and "/" in str(part.value)
+                   for part in found) and any(
+                    isinstance(part, ast.Call) and getattr(part.func, "id", None) in _ID_MAKERS
+                    for part in found):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_ids_are_made_in_the_model_alone():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")
+               if p.name != "model.py"}
+    sources[GENERATED] = GENERATED_SOURCE
+    assert [name for name, source in sorted(sources.items())
+            if _refers_to(source, "slug")] == []
+    assert [f"{name}:{line}" for name, source in sorted(sources.items())
+            for line in _id_joins(source)] == []
+
+
+def test_scan_flags_id_making_outside_the_model():
+    assert _refers_to("from .model import slug\n", "slug")
+    assert _id_joins('a = f"{own}/{dotted_id(\'workproduct\', name)}"\n'
+                     'b = own + "/" + element_id(e)\n'
+                     'c = f"{own}/{x}"\n'
+                     'd = dotted_id("k", n) + "." + own\n') == [1, 2]
 
 
 def test_dot_export_loads_no_linter(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esskit import dsl, model, render
@@ -36,6 +36,7 @@ from esskit.model import (
     merge,
     slug,
     walk_element,
+    yields_id,
     walk_specs,
 )
 from esskit.progress import EnactmentState
@@ -81,6 +82,33 @@ def test_slug_memo_returns_what_slugging_returns(name):
             slug(name)
         return
     assert slug(name) == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.text())
+# The Kelvin sign and a dotted capital I lowercase to ASCII; a long s does not.
+@example(name="\u212a")
+@example(name="\u0130")
+@example(name="\u017f")
+def test_a_name_yields_an_id_exactly_when_slug_accepts_it(name):
+    try:
+        slug(name)
+    except ValueError:
+        assert not yields_id(name)
+    else:
+        assert yields_id(name)
+    assert yields_id(name) == any(c in "abcdefghijklmnopqrstuvwxyz0123456789"
+                                  for c in name.lower())
+
+
+@pytest.mark.parametrize("declaration,message", [
+    (Kernel("K", (AreaDecl(area=None),)), "area None is not an Area"),
+    (Kernel("K", (AreaDecl(area="Customer"),)), "area 'Customer' is not an Area"),
+    (Role(name=None, competencies=()), "name None is not a string"),
+])
+def test_an_element_that_cannot_be_named_is_a_type_error(declaration, message):
+    with pytest.raises(TypeError, match=message):
+        ModelDocument([declaration])
 
 
 def test_area_pairing_is_fixed():
