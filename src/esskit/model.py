@@ -75,14 +75,12 @@ ACTIVITY_TAGS = (
 PHASE_IDS = ("P", "A", "B", "C", "D", "E", "F", "G", "H", "RM")
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
-_ID_CHAR = re.compile(r"[A-Za-z0-9]").search
+_ID_CHAR = re.compile(r"[a-z0-9]").search
 
 
 def yields_id(name: str) -> bool:
-    """Whether ``name`` yields an id: its lowercase form holds an ASCII letter
-    or digit. Lowercasing keeps those, and turns a few other characters (such
-    as the Kelvin sign) into one."""
-    return _ID_CHAR(name) is not None or _ID_CHAR(name.lower()) is not None
+    """Whether ``name`` yields an id: its lowercase form holds an ASCII letter or digit."""
+    return _ID_CHAR(name.lower()) is not None
 
 
 def checked_name(name: str) -> str:
