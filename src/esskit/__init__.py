@@ -17,7 +17,8 @@ _EXPORTS = {
     "dsl": ("parse",),
     "lint": ("LINT_RULES", "LintRule", "UnknownRuleError", "run_lints"),
     "model": (
-        "ACTIVITY_TAGS", "KERNEL_COMPETENCIES", "PHASE_IDS", "Activity", "ActivitySpec",
+        "ACTIVITY_TAGS", "KERNEL_COMPETENCIES", "PHASE_IDS", "PHASE_PRACTICE_NAMES",
+        "TAG_COMPETENCIES", "Activity", "ActivitySpec",
         "Alpha", "AlphaState", "Area", "AreaDecl", "Competency", "CompetencyGrade",
         "Contribution", "Kernel", "Method", "ModelDocument", "Practice", "Role", "Space",
         "StepSpec", "TogafPhase", "WorkProduct", "WorkProductCategory", "dotted_id",
@@ -28,10 +29,7 @@ _EXPORTS = {
         "assess_alpha", "next_phase", "practice_progress", "start_enactment", "visitation",
     ),
     "render": ("export_dot", "export_json", "render_canonical"),
-    "togaf": (
-        "PHASE_PRACTICE_NAMES", "TAG_COMPETENCIES", "MappingError", "load_corpus",
-        "load_manifest", "map_phase",
-    ),
+    "togaf": ("MappingError", "load_corpus", "load_manifest", "map_phase"),
     "validator": (
         "AreaProfile", "ResolvedModel", "check", "check_wellformedness",
         "compute_area_profile", "resolve",

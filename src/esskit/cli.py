@@ -345,3 +345,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = int(ExitStatus.IO)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -58,21 +58,34 @@ KERNEL_COMPETENCIES = (
     "Management",
 )
 
-#: Tag vocabulary accepted on togaf_phase activity specifications.
-ACTIVITY_TAGS = (
-    "acquires_information",
-    "understands_stakeholders",
-    "processes_requirements",
-    "endorses_requirements",
-    "builds",
-    "verifies",
-    "leads",
-    "coordinates",
-    "governs",
-)
+#: R6: the competency each tag a togaf_phase activity spec accepts demands.
+TAG_COMPETENCIES = {
+    "acquires_information": "Stakeholder Representation",
+    "understands_stakeholders": "Stakeholder Representation",
+    "processes_requirements": "Stakeholder Representation",
+    "endorses_requirements": "Analysis",
+    "builds": "Development",
+    "verifies": "Testing",
+    "leads": "Leadership",
+    "coordinates": "Management",
+    "governs": "Governance",
+}
+ACTIVITY_TAGS = tuple(TAG_COMPETENCIES)
 
-#: The complete universe of ADM phase ids.
-PHASE_IDS = ("P", "A", "B", "C", "D", "E", "F", "G", "H", "RM")
+#: R1: every ADM phase id, and the name of the practice its phase maps to.
+PHASE_PRACTICE_NAMES = {
+    "P": "Preliminary",
+    "A": "Phase A",
+    "B": "Phase B",
+    "C": "Phase C",
+    "D": "Phase D",
+    "E": "Phase E",
+    "F": "Phase F",
+    "G": "Phase G",
+    "H": "Phase H",
+    "RM": "Requirements Management",
+}
+PHASE_IDS = tuple(PHASE_PRACTICE_NAMES)
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _ID_CHAR = re.compile(r"[a-z0-9]").search

@@ -5,7 +5,7 @@ practice named for its position in the ADM (R1); each step becomes one
 top-level activity space (R2); an atomic tagged action becomes an activity
 (R3); a decomposed action becomes a nested space holding its sub-activities
 (R4); outputs become the practice's work products and every feed becomes a
-contribution, with the part text mandatory whenever an output has two or
+contribution, each naming a part of its own whenever an output has two or
 more feeders (R5); tags select required competencies (R6) at level 3 unless
 the named role grades that competency differently. Analysis is reserved for
 endorsement: an activity tagged ``endorses_requirements`` requires Analysis
@@ -21,11 +21,12 @@ from importlib import resources
 
 from . import dsl
 from .model import (
+    PHASE_PRACTICE_NAMES,
+    TAG_COMPETENCIES,
     Activity,
     ActivitySpec,
     Area,
     CompetencyGrade,
-    Contribution,
     ModelDocument,
     Practice,
     Space,
@@ -36,34 +37,7 @@ from .model import (
     merge,
     walk_specs,
 )
-from .validator import ResolvedModel
-
-#: R1: the practice name for each phase position in the ADM.
-PHASE_PRACTICE_NAMES = {
-    "P": "Preliminary",
-    "A": "Phase A",
-    "B": "Phase B",
-    "C": "Phase C",
-    "D": "Phase D",
-    "E": "Phase E",
-    "F": "Phase F",
-    "G": "Phase G",
-    "H": "Phase H",
-    "RM": "Requirements Management",
-}
-
-#: R6: which competency each activity tag demands.
-TAG_COMPETENCIES = {
-    "acquires_information": "Stakeholder Representation",
-    "understands_stakeholders": "Stakeholder Representation",
-    "processes_requirements": "Stakeholder Representation",
-    "endorses_requirements": "Analysis",
-    "builds": "Development",
-    "verifies": "Testing",
-    "leads": "Leadership",
-    "coordinates": "Management",
-    "governs": "Governance",
-}
+from .validator import ResolvedModel, mapping_faults
 
 DEFAULT_REQUIREMENT_LEVEL = 3
 
@@ -77,74 +51,21 @@ class MappingError(Exception):
     """A phase specification cannot be mapped; the message names the chain."""
 
 
-def _chain(names: tuple[str, ...]) -> str:
-    return " > ".join(repr(n) for n in names)
-
-
 def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> Practice:
     """Map one phase specification to a practice against a resolved kernel.
 
-    Raises :class:`MappingError` for the first fault found, checking the
-    phase id, the kernel's competencies and then, in passes over the specs
-    in pre-order: tags on a decomposed spec or a feed of an undeclared
-    output; a feed that needs a part; a decomposition that would nest spaces
-    deeper than ``max_depth``, an undeclared role or an unknown tag.
-
-    The undeclared-output and undeclared-role checks guard library callers
-    that pass a phase the model did not resolve: for every phase of a
-    resolved document, :func:`esskit.validator.resolve` has already reported
-    both as V001, which is what ``esskit map`` prints.
+    Raises :class:`MappingError` with the first of the phase's
+    :func:`esskit.validator.mapping_faults`, which ``check`` reports as V018.
     """
-    if spec.phase not in PHASE_PRACTICE_NAMES:
-        raise MappingError(f"phase id {spec.phase!r} is not one of "
-                           + ", ".join(PHASE_PRACTICE_NAMES))
-    missing = [name for name in TAG_COMPETENCIES.values()
-               if name not in model.competencies]
-    if missing:
-        raise MappingError(
-            "kernel is missing required competencies: "
-            + ", ".join(sorted(set(missing))))
+    for _, _, message in mapping_faults(spec, model, max_depth=max_depth):
+        raise MappingError(message)
 
     walk = list(walk_specs(spec))
-    activity_specs = [(node, chain) for _, node, chain, _ in walk
-                      if isinstance(node, ActivitySpec)]
-    declared_outputs = {wp.name for wp in spec.outputs}
-    feeder_counts: dict[str, int] = {}
-    for activity, chain in activity_specs:
-        if activity.tags and activity.sub_activities:
-            raise MappingError(
-                f"phase {spec.phase}: activity {_chain(chain)} is decomposed and "
-                "cannot also carry tags")
-        for contribution in activity.feeds:
-            if contribution.work_product not in declared_outputs:
-                raise MappingError(
-                    f"phase {spec.phase}: activity {_chain(chain)} feeds "
-                    f"undeclared output {contribution.work_product!r}")
-            feeder_counts[contribution.work_product] = feeder_counts.get(
-                contribution.work_product, 0) + 1
-    for activity, chain in activity_specs:
-        for contribution in activity.feeds:
-            if feeder_counts[contribution.work_product] >= 2 and not contribution.part:
-                raise MappingError(
-                    f"phase {spec.phase}: output {contribution.work_product!r} "
-                    f"has {feeder_counts[contribution.work_product]} feeders, so "
-                    f"the contribution from {_chain(chain)} must name its part")
-
     # One entry per walk entry: the activity an atomic spec maps to, or None
-    # for a step or a decomposed spec, which become spaces. A decomposed spec
-    # nests its space at the depth of its chain (a step's space is depth 1).
+    # for a step or a decomposed spec, which become spaces.
     requirement_areas: dict[Area, int] = {area: 0 for area in Area}
-    mapped: list[Activity | None] = []
-    for _, node, chain, _ in walk:
-        if isinstance(node, StepSpec) or node.sub_activities:
-            if isinstance(node, ActivitySpec) and len(chain) > max_depth:
-                raise MappingError(
-                    f"phase {spec.phase}: decomposing {_chain(chain)} would nest "
-                    f"spaces at depth {len(chain)}, beyond the maximum of "
-                    f"{max_depth}")
-            mapped.append(None)
-        else:
-            mapped.append(_map_activity(spec, node, chain, model, requirement_areas))
+    mapped = [None if isinstance(node, StepSpec) or node.sub_activities
+              else _map_activity(node, model, requirement_areas) for _, node, _, _ in walk]
 
     # Reversed pre-order meets every child before its parent. Sibling specs
     # may share a path, but a node's children all come between it and the
@@ -165,19 +86,9 @@ def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> 
     )
 
 
-def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ...],
-                  model: ResolvedModel, areas: dict[Area, int]) -> Activity:
+def _map_activity(activity: ActivitySpec, model: ResolvedModel,
+                  areas: dict[Area, int]) -> Activity:
     """R3/R6: one atomic spec as an activity; counts its requirements' areas."""
-    if activity.role is not None and activity.role not in model.roles:
-        raise MappingError(
-            f"phase {spec.phase}: activity {_chain(chain)} names undeclared "
-            f"role {activity.role!r}")
-    for tag in activity.tags:
-        if tag not in TAG_COMPETENCIES:
-            raise MappingError(
-                f"phase {spec.phase}: activity {_chain(chain)} carries "
-                f"unknown tag {tag!r}")
-
     wanted = {TAG_COMPETENCIES[tag] for tag in activity.tags}
     if "endorses_requirements" in activity.tags:
         # Endorsement absorbs the stakeholder-facing tags: such an activity
@@ -185,7 +96,7 @@ def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ..
         wanted.discard("Stakeholder Representation")
     role = model.roles.get(activity.role) if activity.role else None
     requires = []
-    # In declared order; map_phase checked that every one is declared.
+    # In declared order; mapping_faults checked that every one is declared.
     for name in [n for n in model.competencies if n in wanted]:
         level = DEFAULT_REQUIREMENT_LEVEL
         if role is not None:
@@ -198,8 +109,7 @@ def _map_activity(spec: TogafPhase, activity: ActivitySpec, chain: tuple[str, ..
     return Activity(
         name=activity.name,
         requires=tuple(requires),
-        produces=tuple(Contribution(work_product=c.work_product, part=c.part)
-                       for c in activity.feeds),
+        produces=activity.feeds,
         role=activity.role,
     )
 

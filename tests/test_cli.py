@@ -188,12 +188,26 @@ def _phase_b(corpus_dir, tmp_path, steps: str) -> list[str]:
     return [str(corpus_dir / "kernel.ess"), str(corpus_dir / "roles.ess"), str(phase)]
 
 
+def _check_and_map(cli, args, *flags):
+    """What ``check`` and ``map`` print of a mapping fault: the message of
+    each V018 line, and map's stderr; both commands must exit 1."""
+    code, out, err = cli("check", *flags, *args)
+    assert (code, err) == (1, "")
+    faults = [line.split(": ", 1)[1].rsplit(" (", 1)[0]
+              for line in out.splitlines() if line.startswith("V018 error ")]
+    assert len(faults) == len(out.splitlines()) - 1
+    code, out, err = cli("map", *flags, *args)
+    assert (code, out) == (1, "")
+    return faults, err
+
+
 def test_map_refuses_steps_that_share_an_id(cli, corpus_dir, tmp_path):
-    # The mapped spaces would share an id, which check refuses as P002.
+    # The mapped spaces would share an id, which check refuses as V018 before
+    # the renderer could refuse the practice.
     args = _phase_b(corpus_dir, tmp_path, 'step "Same" { activity "a" tag builds } '
                     'step "Same" { activity "b" tag builds }')
-    assert cli("map", *args) == (
-        1, "", "cannot render duplicate id 'practice.phase_b/space.same'\n")
+    message = "phase B: step 'Same' would map to the same id as an earlier sibling"
+    assert _check_and_map(cli, args) == ([message], message + "\n")
 
 
 def test_map_unknown_phase(cli, corpus_dir, tmp_path):
@@ -204,9 +218,31 @@ def test_map_unknown_phase(cli, corpus_dir, tmp_path):
 def test_map_refuses_a_tagged_activity_that_is_also_decomposed(cli, corpus_dir, tmp_path):
     args = _phase_b(corpus_dir, tmp_path,
                     'step "S" { activity "a" tag builds { activity "x" tag verifies } }')
-    assert cli("check", *args) == (0, "0 errors, 0 warnings\n", "")
-    assert cli("map", *args) == (
-        1, "", "phase B: activity 'S' > 'a' is decomposed and cannot also carry tags\n")
+    message = "phase B: activity 'S' > 'a' is decomposed and cannot also carry tags"
+    assert _check_and_map(cli, args) == ([message], message + "\n")
+
+
+_OUT = 'output "Out" category other '
+
+
+@pytest.mark.parametrize("steps,faults", [
+    (_OUT + 'step "S" { activity "a" tag builds feeds "Out: x" '
+            'activity "b" tag verifies feeds "Out: x" }',
+     ["output 'Out' has 2 feeders, so the contribution from 'S' > 'b' must not "
+      "repeat part 'x'"]),
+    (_OUT + 'step "S" { activity "a" tag builds feeds "Out" '
+            'activity "b" tag verifies feeds "Out" }',
+     [f"output 'Out' has 2 feeders, so the contribution from 'S' > '{name}' must "
+      "name its part" for name in "ab"]),
+    ('step "S" { activity "d1" { activity "d2" { activity "d3" { '
+     'activity "d4" tag builds } } } }',
+     ["decomposing 'S' > 'd1' > 'd2' > 'd3' would nest spaces at depth 4, beyond the "
+      "maximum of 3"]),
+], ids=["repeated-part", "partless-feeders", "four-levels"])
+def test_check_and_map_agree_on_unmappable_phases(cli, corpus_dir, tmp_path, steps, faults):
+    args = _phase_b(corpus_dir, tmp_path, steps)
+    messages = [f"phase B: {fault}" for fault in faults]
+    assert _check_and_map(cli, args, "--max-depth", "3") == (messages, messages[0] + "\n")
 
 
 def test_enact_trace_labels(cli, corpus_dir):
@@ -291,6 +327,24 @@ def test_parse_errors_exit_1(cli, tmp_path):
     code, out, _ = cli("check", str(bad))
     assert code == 1
     assert "P001 error" in out
+
+
+@pytest.mark.parametrize("module", ["esskit", "esskit.cli"])
+def test_python_m_runs_the_command(tmp_path, module):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esskit
+
+    bad = tmp_path / "syntax.ess"
+    bad.write_text('kernel "K" { area Customer color blue }')
+    env = {**os.environ, "PYTHONPATH": str(Path(esskit.__file__).parent.parent)}
+    child = subprocess.run([sys.executable, "-m", module, "check", str(bad)],
+                           capture_output=True, text=True, env=env)
+    assert (child.returncode, child.stderr) == (1, "")
+    assert child.stdout == ("P001 error: area Customer must be green, not 'blue' "
+                            f"({bad}:1:34)\n1 errors, 0 warnings\n")
 
 
 def test_undecodable_input_is_io_error(cli, tmp_path):

@@ -12,7 +12,9 @@ The CLI module loads only what every command needs, and a dot export does
 not load the linter. Only the grammar module refers to the lexer's token
 patterns, so each value kind is read and written in one place. Only the
 model makes ids: no other module refers to ``slug`` or joins an owner's id
-to a ``dotted_id`` or ``element_id`` with a ``/`` of its own.
+to a ``dotted_id`` or ``element_id`` with a ``/`` of its own. The mapper
+raises :class:`~esskit.togaf.MappingError` in one place, for the first fault
+``validator.mapping_faults`` finds, so ``check`` states every refusal too.
 """
 
 from __future__ import annotations
@@ -246,6 +248,28 @@ def test_scan_flags_id_making_outside_the_model():
                      'b = own + "/" + element_id(e)\n'
                      'c = f"{own}/{x}"\n'
                      'd = dotted_id("k", n) + "." + own\n') == [1, 2]
+
+
+def _raise_sites(source: str, name: str) -> list[int]:
+    """The lines of the ``raise`` statements that raise ``name`` or a call of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if name in (getattr(raised, "id", None), getattr(raised, "attr", None)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_mapper_refuses_in_one_place():
+    source = (PACKAGE / "togaf.py").read_text(encoding="utf-8")
+    assert len(_raise_sites(source, "MappingError")) == 1
+
+
+def test_scan_flags_every_raise_site():
+    assert _raise_sites("def f(x):\n    if x:\n        raise MappingError(x)\n"
+                        "    raise togaf.MappingError\n"
+                        "raise ValueError('MappingError')\n", "MappingError") == [3, 4]
 
 
 def test_dot_export_loads_no_linter(tmp_path):

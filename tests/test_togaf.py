@@ -197,17 +197,16 @@ def test_mapping_errors(fixture_model):
 
 
 def test_sibling_specs_may_share_a_name(fixture_model):
+    # A decomposed and an atomic "D" share a spec path but map to a space and
+    # an activity, whose ids differ; two steps "S" would map to one space id.
     def leaf(name, tag):
         return ActivitySpec(name=name, tags=(tag,))
 
-    spec = _phase(steps=[
-        StepSpec(name="S", goal="first", activities=(
-            ActivitySpec(name="D", sub_activities=(leaf("x", "builds"),)),
-            ActivitySpec(name="D", sub_activities=(leaf("y", "verifies"),)),
-            leaf("D", "leads"))),
-        StepSpec(name="S", activities=(leaf("z", "coordinates"),)),
-    ])
-    practice = map_phase(spec, fixture_model)
+    steps = [StepSpec(name="S", goal="first", activities=(
+                 ActivitySpec(name="D", sub_activities=(leaf("x", "builds"),)),
+                 leaf("D", "leads"))),
+             StepSpec(name="S", activities=(leaf("z", "coordinates"),))]
+    practice = map_phase(_phase(steps=steps[:1]), fixture_model)
 
     def shape(member):
         if isinstance(member, Space):
@@ -215,11 +214,11 @@ def test_sibling_specs_may_share_a_name(fixture_model):
         return (member.name, [g.competency for g in member.requires])
 
     assert [shape(m) for m in practice.members] == [
-        ("S", "first", [("D", None, [("x", ["Development"])]),
-                        ("D", None, [("y", ["Testing"])]),
-                        ("D", ["Leadership"])]),
-        ("S", None, [("z", ["Management"])]),
+        ("S", "first", [("D", None, [("x", ["Development"])]), ("D", ["Leadership"])]),
     ]
+    with pytest.raises(MappingError, match="^phase A: step 'S' would map to the same "
+                                           "id as an earlier sibling$"):
+        map_phase(_phase(steps=steps), fixture_model)
 
 
 def test_missing_kernel_competencies_rejected():
@@ -402,6 +401,53 @@ def test_mapping_is_deterministic_and_wellformed(fixture_model, spec):
     assert model is not None
     assert [d for d in diagnostics if d.is_error] == []
     assert [d for d in diagnostics if d.rule == "V015"] == []
+
+
+@st.composite
+def faulty_phase_specs(draw):
+    """Phase specifications that may break any mapping rule: names come from a
+    small pool, so siblings collide; parts repeat, or go missing when the
+    mandatory parts are not filled in; decompositions reach past depth 3 and
+    may carry tags."""
+    names = st.sampled_from(["a", "A", "b", "c", "d"])
+    outputs = [WorkProduct(name=n) for n in
+               draw(st.lists(st.sampled_from(["W", "V"]), unique=True, max_size=2))]
+
+    def activity(depth: int) -> ActivitySpec:
+        tags = tuple(draw(st.sets(st.sampled_from(sorted(TAG_COMPETENCIES)),
+                                  min_size=1, max_size=2)))
+        if depth < 5 and draw(st.integers(0, 2)) == 0:
+            return ActivitySpec(
+                name=draw(names), tags=tags if draw(st.integers(0, 3)) == 0 else (),
+                sub_activities=tuple(activity(depth + 1)
+                                     for _ in range(draw(st.integers(1, 2)))))
+        feeds = tuple(Contribution(draw(st.sampled_from(outputs)).name,
+                                   draw(st.sampled_from([None, "x", "y"])))
+                      for _ in range(draw(st.integers(0, 2)) if outputs else 0))
+        return ActivitySpec(name=draw(names), tags=tags, feeds=feeds,
+                            role=draw(st.sampled_from(FIXTURE_ROLES)))
+
+    steps = [StepSpec(name=draw(names), activities=tuple(
+                 activity(2) for _ in range(draw(st.integers(0, 3)))))
+             for _ in range(draw(st.integers(0, 3)))]
+    spec = _phase(steps=steps, outputs=outputs, phase=draw(st.sampled_from(PHASE_IDS)))
+    return _with_mandatory_parts(spec, itertools.count()) if draw(st.booleans()) else spec
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=faulty_phase_specs())
+def test_check_and_map_agree(fixture_model, spec):
+    kernel = fixture_model.document
+    model, diagnostics = validator.check(merge(kernel, ModelDocument([spec])))
+    assert model is not None
+    try:
+        text = render.render_canonical(ModelDocument([map_phase(spec, model)]))
+    except (MappingError, ValueError):
+        text = None
+    assert (text is not None) == (not any(d.is_error for d in diagnostics))
+    if text is not None:
+        _, rechecked = validator.check(merge(kernel, dsl.parse(text, "mapped.ess")))
+        assert [d for d in rechecked if d.is_error] == []
 
 
 # Corpus ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -423,8 +424,17 @@ def _rule_outcome_lines(document: ModelDocument):
 # sha256 of the outcome lines of 300 generated documents, the hand-built
 # collision document, one document for the rules neither reaches (V010, V012)
 # and the corpus variants, taken from the validator that walked each
-# declaration kind on its own.
+# declaration kind on its own; V018 lines are left out.
 _RULE_OUTCOMES_SHA256 = "f0620b5ec15c68c84f58e13f639da29bd3c9870cc71a9b55f638ea34c4908de0"
+# sha256 of the V018 lines alone, taken when the mapper's refusals became a
+# rule, and the count of each kind of fault among them under ``check 3``.
+_MAPPING_FAULTS_SHA256 = "59f5cb471dd283b5e35c52f720369bc1f1830ae8d9c7949aa96b9d419afa13ee"
+_MAPPING_FAULTS_AT_CHECK_3 = {
+    "kernel is missing required competencies": 22,
+    "would map to the same": 8,
+    "must name its part": 2,
+    "must not repeat part": 2,
+}
 
 
 def test_rule_outcomes_are_pinned():
@@ -436,12 +446,22 @@ def test_rule_outcomes_are_pinned():
     documents = [generate_document(rng) for _ in range(300)]
     documents += [collision_document(), unreached]
     documents += _corpus_line_mutations(600, seed=20261019)
-    digest = hashlib.sha256()
-    rules = set()
+    digest, faults = hashlib.sha256(), hashlib.sha256()
+    rules, section, kinds = set(), "", Counter()
     for document in documents:
         for line in _rule_outcome_lines(document):
-            digest.update(line.encode("utf-8") + b"\n")
             rules.add(line.split()[0])
-    every_rule = {"V001", "V002", *(f"V{n:03}" for n in range(10, 18)), *lint.VALID_RULE_IDS}
+            if line.split()[0] in ("check", "wellformed", "lint"):
+                section = line
+            if not line.startswith("V018 "):
+                digest.update(line.encode("utf-8") + b"\n")
+                continue
+            faults.update(line.encode("utf-8") + b"\n")
+            if section.startswith("check 3 "):
+                kinds[next((kind for kind in _MAPPING_FAULTS_AT_CHECK_3 if kind in line),
+                           line)] += 1
+    every_rule = {"V001", "V002", *(f"V{n:03}" for n in range(10, 19)), *lint.VALID_RULE_IDS}
     assert every_rule <= rules
     assert digest.hexdigest() == _RULE_OUTCOMES_SHA256
+    assert dict(kinds) == _MAPPING_FAULTS_AT_CHECK_3
+    assert faults.hexdigest() == _MAPPING_FAULTS_SHA256
