@@ -238,7 +238,9 @@ _OUT = 'output "Out" category other '
      'activity "d4" tag builds } } } }',
      ["decomposing 'S' > 'd1' > 'd2' > 'd3' would nest spaces at depth 4, beyond the "
       "maximum of 3"]),
-], ids=["repeated-part", "partless-feeders", "four-levels"])
+    ('step "S" { activity "x" tag builds activity "x" tag verifies }',
+     ["activity 'S' > 'x' would map to the same id as an earlier sibling"]),
+], ids=["repeated-part", "partless-feeders", "four-levels", "sibling-activities"])
 def test_check_and_map_agree_on_unmappable_phases(cli, corpus_dir, tmp_path, steps, faults):
     args = _phase_b(corpus_dir, tmp_path, steps)
     messages = [f"phase B: {fault}" for fault in faults]
