@@ -58,7 +58,7 @@ KERNEL_COMPETENCIES = (
     "Management",
 )
 
-#: R6: the competency each tag a togaf_phase activity spec accepts demands.
+#: R6: the tags a togaf_phase activity spec accepts, and the competency each demands.
 TAG_COMPETENCIES = {
     "acquires_information": "Stakeholder Representation",
     "understands_stakeholders": "Stakeholder Representation",
