@@ -23,7 +23,8 @@ from itertools import islice
 from pathlib import Path
 
 # Each command imports the other stages it runs, so a cold ``check`` loads
-# neither the linter, the mapper, the renderers nor the enactment engine.
+# neither the linter, the renderers nor the enactment engine; it loads the
+# mapper's pass, which finds the V018 faults.
 from . import dsl, validator
 from .diagnostics import Diagnostic, ParseError, ResolveError, ordered
 from .model import PHASE_IDS, ModelDocument, dotted_id, merge

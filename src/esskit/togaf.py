@@ -12,15 +12,18 @@ endorsement: an activity tagged ``endorses_requirements`` requires Analysis
 and never Stakeholder Representation, whatever its co-tags.
 
 The declared area is the plurality of the mapped competency requirements'
-areas; ties break toward Endeavor, then by kernel area order.
+areas; ties break toward Endeavor, then by kernel area order. One walk over
+a phase's specs states each rule beside the refusal that guards it: what it
+refuses is :func:`mapping_faults`, which ``check`` reports as V018.
 """
 
 from __future__ import annotations
 
-from importlib import resources
+from collections import Counter
 
 from . import dsl
 from .model import (
+    PHASE_IDS,
     PHASE_PRACTICE_NAMES,
     TAG_COMPETENCIES,
     Activity,
@@ -29,6 +32,7 @@ from .model import (
     CompetencyGrade,
     ModelDocument,
     Practice,
+    Role,
     Space,
     StepSpec,
     TogafPhase,
@@ -37,7 +41,7 @@ from .model import (
     merge,
     walk_specs,
 )
-from .validator import ResolvedModel, mapping_faults
+from .validator import ResolvedModel, _part_faults
 
 DEFAULT_REQUIREMENT_LEVEL = 3
 
@@ -52,60 +56,120 @@ class MappingError(Exception):
 
 
 def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> Practice:
-    """Map one phase specification to a practice against a resolved kernel.
-
-    Raises :class:`MappingError` with the first of the phase's
-    :func:`esskit.validator.mapping_faults`, which ``check`` reports as V018.
-    """
-    for _, _, message in mapping_faults(spec, model, max_depth=max_depth):
+    """Map one phase specification to a practice against a resolved kernel, or
+    raise :class:`MappingError` with the first of its :func:`mapping_faults`."""
+    faults, walk = _mapping(spec, model, max_depth)
+    for _, _, message in faults:
         raise MappingError(message)
 
-    walk = list(walk_specs(spec))
-    # One entry per walk entry: the activity an atomic spec maps to, or None
-    # for a step or a decomposed spec, which become spaces.
-    requirement_areas: dict[Area, int] = {area: 0 for area in Area}
-    mapped = [None if isinstance(node, StepSpec) or node.sub_activities
-              else _map_activity(node, model, requirement_areas) for _, node, _, _ in walk]
-
-    # Reversed pre-order meets every child before its parent. Sibling specs
-    # may share a path, but a node's children all come between it and the
-    # next node with its path, so collecting them by parent path is exact.
+    areas = Counter(model.competencies[grade.competency].area for _, node, _, _ in walk
+                    if isinstance(node, Activity) for grade in node.requires)
+    # Reversed pre-order meets every child before its parent. With no fault
+    # no two spaces share a path, so collecting children by path is exact.
     members: dict[str, list] = {}
-    for (path, node, _, parent), member in zip(reversed(walk), reversed(mapped)):
-        if member is None:
-            member = Space(name=node.name,
-                           goal=node.goal if isinstance(node, StepSpec) else None,
-                           members=tuple(reversed(members.pop(path, []))))
-        members.setdefault(parent, []).append(member)
+    for path, node, _, parent in reversed(walk):
+        if not isinstance(node, Activity):
+            node = Space(name=node.name,
+                         goal=node.goal if isinstance(node, StepSpec) else None,
+                         members=tuple(reversed(members.pop(path, []))))
+        members.setdefault(parent, []).append(node)
     return Practice(
         name=PHASE_PRACTICE_NAMES[spec.phase],
-        area=_plurality_area(requirement_areas),
+        area=max(_AREA_TIE_ORDER, key=areas.__getitem__),
         goals=(spec.objective,),
         outputs=spec.outputs,
         members=tuple(reversed(members.pop(element_id(spec), []))),
     )
 
 
-def _map_activity(activity: ActivitySpec, model: ResolvedModel,
-                  areas: dict[Area, int]) -> Activity:
-    """R3/R6: one atomic spec as an activity; counts its requirements' areas."""
+def mapping_faults(phase: TogafPhase, model: ResolvedModel, *, max_depth: int = 3):
+    """Why ``phase`` cannot be mapped to a practice: (path, span, message) per
+    fault, by the pass that finds it."""
+    yield from _mapping(phase, model, max_depth)[0]
+
+
+def _mapping(phase: TogafPhase, model: ResolvedModel, max_depth: int):
+    """The one walk over ``phase``'s specs: its faults, and its walk entries, in
+    which each atomic spec's activity takes its place while there is no fault."""
+    # A fault leads with its pass: 0 the phase, 1 shape, 2 missing parts, 3
+    # nesting, roles and tags; then 4 repeated parts and 5 shared ids.
+    faults = []
+    # R1 names the practice for the phase id; R6 needs every tag's competency.
+    if phase.phase not in PHASE_IDS:
+        faults.append((0, element_id(phase), phase.span,
+                       f"phase id {phase.phase!r} is not one of {', '.join(PHASE_IDS)}"))
+    missing = sorted({name for name in TAG_COMPETENCIES.values()
+                      if name not in model.competencies})
+    if missing:
+        faults.append((0, element_id(phase), phase.span,
+                       "kernel is missing required competencies: " + ", ".join(missing)))
+
+    def fault(rank: int, path: str, spec, chain, text: str, noun: str | None = None) -> None:
+        faults.append((rank, path, spec.span, f"phase {phase.phase}: {noun or spec.kind} "
+                       f"{' > '.join(map(repr, chain))} {text}"))
+
+    declared = {wp.name for wp in phase.outputs}
+    feeds, fed = [], {}
+    # R2-R4: siblings share a mapped id when both map to activities or spaces.
+    mapped: set[tuple[str, bool]] = set()
+    walk = list(walk_specs(phase))
+    for at, (path, spec, chain, parent) in enumerate(walk):
+        atomic = isinstance(spec, ActivitySpec) and not spec.sub_activities
+        if (path, atomic) in mapped:
+            fault(5, path, spec, chain, "would map to the same id as an earlier sibling")
+        mapped.add((path, atomic))
+        if atomic:
+            # R5: each feed contributes to a declared output, as resolve checks.
+            for contribution in spec.feeds:
+                output = contribution.work_product
+                if output not in declared:
+                    fault(1, path, spec, chain, f"feeds undeclared output {output!r}")
+                fed.setdefault(output, []).append(len(feeds))
+                feeds.append((path, spec, chain, output, contribution.part))
+            # R3/R6: the tags select the requirements, at a declared role's levels.
+            role = model.roles.get(spec.role)
+            if spec.role is not None and role is None:
+                fault(3, path, spec, chain, f"names undeclared role {spec.role!r}")
+            for tag in spec.tags:
+                if tag not in TAG_COMPETENCIES:
+                    fault(3, path, spec, chain, f"carries unknown tag {tag!r}")
+            if not faults:
+                walk[at] = (path, _map_activity(spec, role, model), chain, parent)
+        elif isinstance(spec, ActivitySpec):
+            # R4: a decomposed spec maps to a space, which has no tags, feeds or role.
+            for carried, text in ((spec.tags, "carry tags"), (spec.feeds, "feed an output"),
+                                  (spec.role, "name a role")):
+                if carried:
+                    fault(1, path, spec, chain, f"is decomposed and cannot also {text}")
+            if len(chain) > max_depth:
+                fault(3, path, spec, chain, f"would nest spaces at depth {len(chain)}, "
+                      f"beyond the maximum of {max_depth}", "decomposing")
+
+    # R5: an output with two or more feeders needs a distinct part from each.
+    for at in sorted(positions[i] for positions in fed.values()
+                     for i in _part_faults([feeds[p][4] for p in positions])):
+        path, spec, chain, output, part = feeds[at]
+        fault(4 if part else 2, path, spec, chain,
+              f"must not repeat part {part!r}" if part else "must name its part",
+              f"output {output!r} has {len(fed[output])} feeders, so the contribution from")
+    faults.sort(key=lambda fault: fault[0])
+    return [fault[1:] for fault in faults], walk
+
+
+def _map_activity(activity: ActivitySpec, role: Role | None, model: ResolvedModel) -> Activity:
+    """R3/R6: one atomic spec as an activity, at ``role``'s levels."""
     wanted = {TAG_COMPETENCIES[tag] for tag in activity.tags}
     if "endorses_requirements" in activity.tags:
         # Endorsement absorbs the stakeholder-facing tags: such an activity
         # demands Analysis, never Stakeholder Representation.
         wanted.discard("Stakeholder Representation")
-    role = model.roles.get(activity.role) if activity.role else None
     requires = []
-    # In declared order; mapping_faults checked that every one is declared.
-    for name in [n for n in model.competencies if n in wanted]:
-        level = DEFAULT_REQUIREMENT_LEVEL
-        if role is not None:
-            declared = role.level_for(name)
-            if declared is not None:
-                level = declared
-        requires.append(CompetencyGrade(competency=name, level=level))
-        areas[model.competencies[name].area] += 1
-
+    # In declared order; the pass checked that every one is declared.
+    for name in model.competencies:
+        if name in wanted:
+            level = role.level_for(name) if role is not None else None
+            requires.append(CompetencyGrade(
+                competency=name, level=DEFAULT_REQUIREMENT_LEVEL if level is None else level))
     return Activity(
         name=activity.name,
         requires=tuple(requires),
@@ -114,16 +178,13 @@ def _map_activity(activity: ActivitySpec, model: ResolvedModel,
     )
 
 
-def _plurality_area(counts: dict[Area, int]) -> Area:
-    best = max(counts.values())
-    return next(area for area in _AREA_TIE_ORDER if counts[area] == best)
-
-
 # Bundled corpus ------------------------------------------------------------
 
 
 def corpus_files() -> dict[str, str]:
     """Name-to-text mapping of every bundled corpus file, manifest included."""
+    from importlib import resources
+
     root = resources.files(__package__) / "corpus"
     out = {name: (root / name).read_text(encoding="utf-8")
            for name in CORPUS_FILES}

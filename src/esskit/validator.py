@@ -4,8 +4,9 @@
 V001 (dangling reference) or V002 (duplicate name within a kind, scoped the
 same way ids are). ``check_wellformedness`` applies the structural rule
 catalog V010-V018 to a resolved model and returns every violation; it never
-raises. Both are pure, so two runs over the same model produce identical
-diagnostic lists, in the order of :func:`esskit.diagnostics.ordered`.
+raises. V018 reports the faults of the mapping pass in :mod:`esskit.togaf`.
+Both are pure, so two runs over the same model produce identical diagnostic
+lists, in the order of :func:`esskit.diagnostics.ordered`.
 
 Area references are not subject to V001: the three areas of concern form a
 closed enumeration the parser already enforces, so a dangling area is
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic, Record, ResolveError, Severity, ordered
 from .model import (
-    PHASE_IDS,
-    TAG_COMPETENCIES,
     Activity,
     ActivitySpec,
     Alpha,
@@ -199,9 +198,11 @@ def _area_profile(model: ResolvedModel, practice: Practice, walk) -> AreaProfile
 
 
 def check_wellformedness(model: ResolvedModel, *, max_depth: int = 3) -> list[Diagnostic]:
-    """Every V010-V018 violation in the model, ordered by source position
-    (see :func:`esskit.diagnostics.ordered`); V011 reports a space nested
-    deeper than ``max_depth``, counting the root space as 1."""
+    """Every V010-V018 violation in the model (V018: :func:`esskit.togaf.mapping_faults`),
+    ordered by source position (see :func:`esskit.diagnostics.ordered`); V011
+    reports a space nested deeper than ``max_depth``, counting the root space as 1."""
+    from .togaf import mapping_faults
+
     diagnostics: list[Diagnostic] = []
 
     def report(rule: str, severity: Severity, path: str, message: str, span) -> None:
@@ -345,69 +346,6 @@ def _part_faults(parts: list[str | None]) -> list[int]:
     first: dict[str, int] = {}
     return ([i for i, part in enumerate(parts) if not part]
             or [i for i, part in enumerate(parts) if first.setdefault(part, i) != i])
-
-
-def mapping_faults(phase: TogafPhase, model: ResolvedModel, *, max_depth: int = 3):
-    """Why ``phase`` cannot be mapped to a practice: (path, span, message) per
-    fault, in the order :func:`esskit.togaf.map_phase` checks them. The
-    undeclared-output and -role faults guard a model :func:`resolve` did not
-    build; it reports both as V001."""
-    own = element_id(phase)
-    if phase.phase not in PHASE_IDS:
-        yield own, phase.span, f"phase id {phase.phase!r} is not one of {', '.join(PHASE_IDS)}"
-    missing = sorted({name for name in TAG_COMPETENCIES.values()
-                      if name not in model.competencies})
-    if missing:
-        yield own, phase.span, "kernel is missing required competencies: " + ", ".join(missing)
-
-    # A fault is (pass, path, span, noun, chain, text), and its message is
-    # "phase P: <noun> <chain> <text>". The passes: 1 shape, 2 missing parts,
-    # 3 nesting, roles and tags; then what map_phase once let through, 4
-    # repeated parts and 5 shared ids.
-    faults = []
-    declared = {wp.name for wp in phase.outputs}
-    feeds, fed = [], {}
-    # A step or a decomposed spec maps to a space, an atomic spec to an
-    # activity: siblings share a mapped id exactly when they share this pair.
-    mapped: set[tuple[str, bool]] = set()
-    for path, spec, chain, _ in walk_specs(phase):
-        space = not isinstance(spec, ActivitySpec) or bool(spec.sub_activities)
-        if (path, space) in mapped:
-            faults.append((5, path, spec.span, spec.kind, chain,
-                           "would map to the same id as an earlier sibling"))
-        mapped.add((path, space))
-        if not isinstance(spec, ActivitySpec):
-            continue
-        if spec.tags and spec.sub_activities:
-            faults.append((1, path, spec.span, "activity", chain,
-                           "is decomposed and cannot also carry tags"))
-        for contribution in spec.feeds:
-            output = contribution.work_product
-            if output not in declared:
-                faults.append((1, path, spec.span, "activity", chain,
-                               f"feeds undeclared output {output!r}"))
-            fed.setdefault(output, []).append(len(feeds))
-            feeds.append((path, spec.span, chain, output, contribution.part))
-        if spec.sub_activities:
-            if len(chain) > max_depth:
-                faults.append((3, path, spec.span, "decomposing", chain, f"would nest spaces "
-                               f"at depth {len(chain)}, beyond the maximum of {max_depth}"))
-            continue
-        if spec.role is not None and spec.role not in model.roles:
-            faults.append((3, path, spec.span, "activity", chain,
-                           f"names undeclared role {spec.role!r}"))
-        faults.extend((3, path, spec.span, "activity", chain, f"carries unknown tag {tag!r}")
-                      for tag in spec.tags if tag not in TAG_COMPETENCIES)
-
-    for at in sorted(positions[i] for positions in fed.values()
-                     for i in _part_faults([feeds[p][4] for p in positions])):
-        path, span, chain, output, part = feeds[at]
-        faults.append((4 if part else 2, path, span, f"output {output!r} has "
-                       f"{len(fed[output])} feeders, so the contribution from", chain,
-                       f"must not repeat part {part!r}" if part else "must name its part"))
-    faults.sort(key=lambda fault: fault[0])
-    for _, path, span, noun, chain, text in faults:
-        yield path, span, f"phase {phase.phase}: {noun} {' > '.join(map(repr, chain))} {text}"
 
 
 def check(document: ModelDocument, *,

@@ -240,7 +240,14 @@ _OUT = 'output "Out" category other '
       "maximum of 3"]),
     ('step "S" { activity "x" tag builds activity "x" tag verifies }',
      ["activity 'S' > 'x' would map to the same id as an earlier sibling"]),
-], ids=["repeated-part", "partless-feeders", "four-levels", "sibling-activities"])
+    # The decomposed feed counts as no feeder, so "y" needs no part.
+    (_OUT + 'step "S" { activity "D" feeds "Out" { activity "x" tag builds } '
+            'activity "y" tag verifies feeds "Out" }',
+     ["activity 'S' > 'D' is decomposed and cannot also feed an output"]),
+    ('step "S" { activity "D" role "Enterprise Architect" { activity "x" tag builds } }',
+     ["activity 'S' > 'D' is decomposed and cannot also name a role"]),
+], ids=["repeated-part", "partless-feeders", "four-levels", "sibling-activities",
+        "decomposed-feeds", "decomposed-role"])
 def test_check_and_map_agree_on_unmappable_phases(cli, corpus_dir, tmp_path, steps, faults):
     args = _phase_b(corpus_dir, tmp_path, steps)
     messages = [f"phase B: {fault}" for fault in faults]

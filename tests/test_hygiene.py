@@ -12,9 +12,12 @@ The CLI module loads only what every command needs, and a dot export does
 not load the linter. Only the grammar module refers to the lexer's token
 patterns, so each value kind is read and written in one place. Only the
 model makes ids: no other module refers to ``slug`` or joins an owner's id
-to a ``dotted_id`` or ``element_id`` with a ``/`` of its own. The mapper
-raises :class:`~esskit.togaf.MappingError` in one place, for the first fault
-``validator.mapping_faults`` finds, so ``check`` states every refusal too.
+to a ``dotted_id`` or ``element_id`` with a ``/`` of its own. The mapping
+policy lives in ``togaf`` alone: only it and the model, which defines them,
+refer to the tag and practice-name tables, and only it defines
+``mapping_faults``. The mapper raises :class:`~esskit.togaf.MappingError` in
+one place, for the first fault of its one pass, which ``check`` reports too.
+Importing the mapper loads no resource reader.
 """
 
 from __future__ import annotations
@@ -270,6 +273,66 @@ def test_scan_flags_every_raise_site():
     assert _raise_sites("def f(x):\n    if x:\n        raise MappingError(x)\n"
                         "    raise togaf.MappingError\n"
                         "raise ValueError('MappingError')\n", "MappingError") == [3, 4]
+
+
+_POLICY_TABLES = ("PHASE_PRACTICE_NAMES", "TAG_COMPETENCIES")
+
+
+def _binds(source: str, name: str) -> bool:
+    """Whether ``source`` defines, assigns or imports ``name`` at module level."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return True
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                (alias.asname or alias.name) == name for alias in node.names):
+            return True
+    return False
+
+
+def _mapping_policy_outside_the_mapper(sources: dict[str, str]) -> list[str]:
+    """Modules other than the mapper that refer to a policy table (the model
+    defines them) or bind ``mapping_faults``."""
+    found = [f"{module}: {table}" for module, source in sorted(sources.items())
+             if module not in ("model.py", "togaf.py")
+             for table in _POLICY_TABLES if _refers_to(source, table)]
+    return found + [f"{module}: mapping_faults" for module, source in sorted(sources.items())
+                    if module != "togaf.py" and _binds(source, "mapping_faults")]
+
+
+def test_the_mapping_policy_lives_in_the_mapper():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    sources[GENERATED] = GENERATED_SOURCE
+    assert _mapping_policy_outside_the_mapper(sources) == []
+    assert _binds(sources["togaf.py"], "mapping_faults")
+
+
+def test_scan_flags_the_mapping_policy_outside_the_mapper():
+    sources = {
+        "togaf.py": "from .model import TAG_COMPETENCIES\ndef mapping_faults():\n    pass\n",
+        "model.py": "PHASE_PRACTICE_NAMES = {}\n",
+        "validator.py": ("from .model import PHASE_IDS, TAG_COMPETENCIES\n"
+                         "def mapping_faults(phase):\n    return PHASE_IDS\n"),
+        "cli.py": ("def run():\n    from .togaf import mapping_faults\n"
+                   "    return model.PHASE_PRACTICE_NAMES\n"),
+        "lint.py": "from .togaf import mapping_faults\n",
+        "render.py": "mapping_faults = togaf.mapping_faults\n",
+    }
+    assert _mapping_policy_outside_the_mapper(sources) == [
+        "cli.py: PHASE_PRACTICE_NAMES", "validator.py: TAG_COMPETENCIES",
+        "lint.py: mapping_faults", "render.py: mapping_faults", "validator.py: mapping_faults"]
+
+
+def test_mapper_import_loads_no_resource_reader():
+    # Without the site start-up, which may load it anyway, importing the
+    # mapper must not load importlib.resources: only the corpus reader uses it.
+    code = "import sys, esskit.togaf; print('importlib.resources' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 def test_dot_export_loads_no_linter(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -408,7 +409,7 @@ def faulty_phase_specs(draw):
     """Phase specifications that may break any mapping rule: names come from a
     small pool, so siblings collide; parts repeat, or go missing when the
     mandatory parts are not filled in; decompositions reach past depth 3 and
-    may carry tags."""
+    may carry tags, feeds and a role."""
     names = st.sampled_from(["a", "A", "b", "c", "d"])
     outputs = [WorkProduct(name=n) for n in
                draw(st.lists(st.sampled_from(["W", "V"]), unique=True, max_size=2))]
@@ -416,16 +417,18 @@ def faulty_phase_specs(draw):
     def activity(depth: int) -> ActivitySpec:
         tags = tuple(draw(st.sets(st.sampled_from(sorted(TAG_COMPETENCIES)),
                                   min_size=1, max_size=2)))
-        if depth < 5 and draw(st.integers(0, 2)) == 0:
-            return ActivitySpec(
-                name=draw(names), tags=tags if draw(st.integers(0, 3)) == 0 else (),
-                sub_activities=tuple(activity(depth + 1)
-                                     for _ in range(draw(st.integers(1, 2)))))
         feeds = tuple(Contribution(draw(st.sampled_from(outputs)).name,
                                    draw(st.sampled_from([None, "x", "y"])))
                       for _ in range(draw(st.integers(0, 2)) if outputs else 0))
-        return ActivitySpec(name=draw(names), tags=tags, feeds=feeds,
-                            role=draw(st.sampled_from(FIXTURE_ROLES)))
+        role = draw(st.sampled_from(FIXTURE_ROLES))
+        if depth < 5 and draw(st.integers(0, 2)) == 0:
+            return ActivitySpec(
+                name=draw(names), tags=tags if draw(st.integers(0, 3)) == 0 else (),
+                feeds=feeds if draw(st.integers(0, 3)) == 0 else (),
+                role=role if draw(st.integers(0, 3)) == 0 else None,
+                sub_activities=tuple(activity(depth + 1)
+                                     for _ in range(draw(st.integers(1, 2)))))
+        return ActivitySpec(name=draw(names), tags=tags, feeds=feeds, role=role)
 
     steps = [StepSpec(name=draw(names), activities=tuple(
                  activity(2) for _ in range(draw(st.integers(0, 3)))))
@@ -471,6 +474,22 @@ def test_corpus_counts_match_manifest(corpus, manifest):
         assert sum(spec.kind == "activity"
                    for _, spec, _, _ in walk_specs(phase)) == entry["activities"]
         assert len(phase.outputs) == entry["outputs"]
+
+
+def test_map_phase_walks_a_phase_once(corpus, corpus_model, monkeypatch):
+    walked = []
+
+    def counting(phase):
+        walked.append(phase.phase)
+        return walk_specs(phase)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("esskit")]:
+        if getattr(module, "walk_specs", None) is walk_specs:
+            monkeypatch.setattr(module, "walk_specs", counting)
+    for phase in corpus.phases():
+        walked.clear()
+        map_phase(phase, corpus_model)
+        assert walked == [phase.phase]
 
 
 def test_corpus_practices_are_the_mapper_output(corpus, corpus_model, manifest):
