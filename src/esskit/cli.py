@@ -24,7 +24,7 @@ from pathlib import Path
 
 # Each command imports the other stages it runs, so a cold ``check`` loads
 # neither the linter, the renderers nor the enactment engine; it loads the
-# mapper's pass, which finds the V018 faults.
+# mapper only for input with a phase specification, whose V018 faults it finds.
 from . import dsl, validator
 from .diagnostics import Diagnostic, ParseError, ResolveError, ordered
 from .model import PHASE_IDS, ModelDocument, dotted_id, merge

@@ -287,8 +287,8 @@ class Method(Record, hidden=("span",)):
     span: SourceSpan | None = None
 
     def shape_errors(self) -> tuple[str, ...]:
-        """Why the method cannot be enacted, one message per fault; empty if
-        it can.
+        """Why the method cannot be enacted, one message per fault, sorted as
+        ``check`` prints them (V017 lines differ only in message); empty if it can.
 
         The preamble runs once and concurrent practices are always on, so
         neither may sit in the cycle, and the preamble may not be concurrent.
@@ -307,7 +307,7 @@ class Method(Record, hidden=("span",)):
         if self.preamble is not None and self.preamble in self.concurrent:
             errors.append(f"method {self.name!r} lists preamble "
                           f"{self.preamble!r} as concurrent")
-        return tuple(errors)
+        return tuple(sorted(errors))
 
 
 class ActivitySpec(Record, hidden=("span",)):

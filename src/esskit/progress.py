@@ -103,7 +103,7 @@ def start_enactment(method: Method) -> EnactmentState:
     """Initial state: at the preamble when there is one, else at the cycle head.
 
     Raises :class:`EnactmentError` with the first of
-    :meth:`Method.shape_errors`, the faults that ``check`` reports as V017.
+    :meth:`Method.shape_errors`, the first V017 message ``check`` prints.
     """
     errors = method.shape_errors()
     if errors:

@@ -13,8 +13,8 @@ and never Stakeholder Representation, whatever its co-tags.
 
 The declared area is the plurality of the mapped competency requirements'
 areas; ties break toward Endeavor, then by kernel area order. One walk over
-a phase's specs states each rule beside the refusal that guards it: what it
-refuses is :func:`mapping_faults`, which ``check`` reports as V018.
+a phase's specs states each rule beside the refusal that guards it; the
+refusals, in ``check``'s order, are its V018 diagnostics: :func:`mapping_faults`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import dsl
+from .diagnostics import Diagnostic, Severity, ordered
 from .model import (
     PHASE_IDS,
     PHASE_PRACTICE_NAMES,
@@ -41,7 +42,7 @@ from .model import (
     merge,
     walk_specs,
 )
-from .validator import ResolvedModel, _part_faults
+from .validator import MAPPING_FAULT, ResolvedModel, _part_faults
 
 DEFAULT_REQUIREMENT_LEVEL = 3
 
@@ -57,18 +58,21 @@ class MappingError(Exception):
 
 def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> Practice:
     """Map one phase specification to a practice against a resolved kernel, or
-    raise :class:`MappingError` with the first of its :func:`mapping_faults`."""
+    raise :class:`MappingError` with the message of the first of its
+    :func:`mapping_faults`, the first V018 line ``check`` prints for it."""
     faults, walk = _mapping(spec, model, max_depth)
-    for _, _, message in faults:
-        raise MappingError(message)
+    if faults:
+        raise MappingError(faults[0].message)
 
-    areas = Counter(model.competencies[grade.competency].area for _, node, _, _ in walk
-                    if isinstance(node, Activity) for grade in node.requires)
+    areas = Counter()
     # Reversed pre-order meets every child before its parent. With no fault
     # no two spaces share a path, so collecting children by path is exact.
     members: dict[str, list] = {}
     for path, node, _, parent in reversed(walk):
-        if not isinstance(node, Activity):
+        if isinstance(node, ActivitySpec) and not node.sub_activities:
+            node = _map_activity(node, model.roles.get(node.role), model)
+            areas.update(model.competencies[grade.competency].area for grade in node.requires)
+        else:
             node = Space(name=node.name,
                          goal=node.goal if isinstance(node, StepSpec) else None,
                          members=tuple(reversed(members.pop(path, []))))
@@ -83,77 +87,75 @@ def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> 
 
 
 def mapping_faults(phase: TogafPhase, model: ResolvedModel, *, max_depth: int = 3):
-    """Why ``phase`` cannot be mapped to a practice: (path, span, message) per
-    fault, by the pass that finds it."""
-    yield from _mapping(phase, model, max_depth)[0]
+    """Why ``phase`` cannot be mapped to a practice: one V018 diagnostic per
+    fault, in the order of :func:`esskit.diagnostics.ordered`, which is the
+    order ``check`` prints them in."""
+    return _mapping(phase, model, max_depth)[0]
 
 
 def _mapping(phase: TogafPhase, model: ResolvedModel, max_depth: int):
-    """The one walk over ``phase``'s specs: its faults, and its walk entries, in
-    which each atomic spec's activity takes its place while there is no fault."""
-    # A fault leads with its pass: 0 the phase, 1 shape, 2 missing parts, 3
-    # nesting, roles and tags; then 4 repeated parts and 5 shared ids.
+    """The faults of ``phase``, ordered, and the one walk over its specs."""
     faults = []
+
+    def fault(path: str, spec, chain, text: str, noun: str | None = None) -> None:
+        # A spec's fault names its chain; the phase's own faults have none.
+        if chain:
+            text = (f"phase {phase.phase}: {noun or spec.kind} "
+                    f"{' > '.join(map(repr, chain))} {text}")
+        faults.append(Diagnostic(MAPPING_FAULT, Severity.ERROR, path, text, spec.span))
+
     # R1 names the practice for the phase id; R6 needs every tag's competency.
     if phase.phase not in PHASE_IDS:
-        faults.append((0, element_id(phase), phase.span,
-                       f"phase id {phase.phase!r} is not one of {', '.join(PHASE_IDS)}"))
+        fault(element_id(phase), phase, (),
+              f"phase id {phase.phase!r} is not one of {', '.join(PHASE_IDS)}")
     missing = sorted({name for name in TAG_COMPETENCIES.values()
                       if name not in model.competencies})
     if missing:
-        faults.append((0, element_id(phase), phase.span,
-                       "kernel is missing required competencies: " + ", ".join(missing)))
-
-    def fault(rank: int, path: str, spec, chain, text: str, noun: str | None = None) -> None:
-        faults.append((rank, path, spec.span, f"phase {phase.phase}: {noun or spec.kind} "
-                       f"{' > '.join(map(repr, chain))} {text}"))
+        fault(element_id(phase), phase, (),
+              "kernel is missing required competencies: " + ", ".join(missing))
 
     declared = {wp.name for wp in phase.outputs}
-    feeds, fed = [], {}
+    # R5: an output's feeders, as (path, spec, chain, part).
+    fed: dict[str, list] = {}
     # R2-R4: siblings share a mapped id when both map to activities or spaces.
     mapped: set[tuple[str, bool]] = set()
     walk = list(walk_specs(phase))
-    for at, (path, spec, chain, parent) in enumerate(walk):
+    for path, spec, chain, _ in walk:
         atomic = isinstance(spec, ActivitySpec) and not spec.sub_activities
         if (path, atomic) in mapped:
-            fault(5, path, spec, chain, "would map to the same id as an earlier sibling")
+            fault(path, spec, chain, "would map to the same id as an earlier sibling")
         mapped.add((path, atomic))
         if atomic:
             # R5: each feed contributes to a declared output, as resolve checks.
             for contribution in spec.feeds:
                 output = contribution.work_product
                 if output not in declared:
-                    fault(1, path, spec, chain, f"feeds undeclared output {output!r}")
-                fed.setdefault(output, []).append(len(feeds))
-                feeds.append((path, spec, chain, output, contribution.part))
+                    fault(path, spec, chain, f"feeds undeclared output {output!r}")
+                fed.setdefault(output, []).append((path, spec, chain, contribution.part))
             # R3/R6: the tags select the requirements, at a declared role's levels.
-            role = model.roles.get(spec.role)
-            if spec.role is not None and role is None:
-                fault(3, path, spec, chain, f"names undeclared role {spec.role!r}")
+            if spec.role is not None and spec.role not in model.roles:
+                fault(path, spec, chain, f"names undeclared role {spec.role!r}")
             for tag in spec.tags:
                 if tag not in TAG_COMPETENCIES:
-                    fault(3, path, spec, chain, f"carries unknown tag {tag!r}")
-            if not faults:
-                walk[at] = (path, _map_activity(spec, role, model), chain, parent)
+                    fault(path, spec, chain, f"carries unknown tag {tag!r}")
         elif isinstance(spec, ActivitySpec):
             # R4: a decomposed spec maps to a space, which has no tags, feeds or role.
             for carried, text in ((spec.tags, "carry tags"), (spec.feeds, "feed an output"),
                                   (spec.role, "name a role")):
                 if carried:
-                    fault(1, path, spec, chain, f"is decomposed and cannot also {text}")
+                    fault(path, spec, chain, f"is decomposed and cannot also {text}")
             if len(chain) > max_depth:
-                fault(3, path, spec, chain, f"would nest spaces at depth {len(chain)}, "
+                fault(path, spec, chain, f"would nest spaces at depth {len(chain)}, "
                       f"beyond the maximum of {max_depth}", "decomposing")
 
     # R5: an output with two or more feeders needs a distinct part from each.
-    for at in sorted(positions[i] for positions in fed.values()
-                     for i in _part_faults([feeds[p][4] for p in positions])):
-        path, spec, chain, output, part = feeds[at]
-        fault(4 if part else 2, path, spec, chain,
-              f"must not repeat part {part!r}" if part else "must name its part",
-              f"output {output!r} has {len(fed[output])} feeders, so the contribution from")
-    faults.sort(key=lambda fault: fault[0])
-    return [fault[1:] for fault in faults], walk
+    for output, feeders in fed.items():
+        for at in _part_faults([part for *_, part in feeders]):
+            path, spec, chain, part = feeders[at]
+            fault(path, spec, chain,
+                  f"must not repeat part {part!r}" if part else "must name its part",
+                  f"output {output!r} has {len(feeders)} feeders, so the contribution from")
+    return ordered(faults), walk
 
 
 def _map_activity(activity: ActivitySpec, role: Role | None, model: ResolvedModel) -> Activity:

@@ -201,8 +201,6 @@ def check_wellformedness(model: ResolvedModel, *, max_depth: int = 3) -> list[Di
     """Every V010-V018 violation in the model (V018: :func:`esskit.togaf.mapping_faults`),
     ordered by source position (see :func:`esskit.diagnostics.ordered`); V011
     reports a space nested deeper than ``max_depth``, counting the root space as 1."""
-    from .togaf import mapping_faults
-
     diagnostics: list[Diagnostic] = []
 
     def report(rule: str, severity: Severity, path: str, message: str, span) -> None:
@@ -242,8 +240,8 @@ def check_wellformedness(model: ResolvedModel, *, max_depth: int = 3) -> list[Di
                 report(UNENACTABLE_METHOD, Severity.ERROR, ident, message,
                        element.span)
         elif isinstance(element, TogafPhase):
-            for path, span, message in mapping_faults(element, model, max_depth=max_depth):
-                report(MAPPING_FAULT, Severity.ERROR, path, message, span)
+            from .togaf import mapping_faults  # only input with a phase loads it
+            diagnostics.extend(mapping_faults(element, model, max_depth=max_depth))
         # Kernel spaces have no parent here; they nest by name, checked above.
         elif isinstance(element, Space) and parent_id is not None:
             if depth > max_depth:

@@ -246,8 +246,13 @@ _OUT = 'output "Out" category other '
      ["activity 'S' > 'D' is decomposed and cannot also feed an output"]),
     ('step "S" { activity "D" role "Enterprise Architect" { activity "x" tag builds } }',
      ["activity 'S' > 'D' is decomposed and cannot also name a role"]),
+    # map prints the first fault by source position, as check does.
+    ('step "S" {\n  activity "x" tag builds\n  activity "x" tag verifies\n'
+     '  activity "D" tag builds { activity "y" tag builds }\n}',
+     ["activity 'S' > 'x' would map to the same id as an earlier sibling",
+      "activity 'S' > 'D' is decomposed and cannot also carry tags"]),
 ], ids=["repeated-part", "partless-feeders", "four-levels", "sibling-activities",
-        "decomposed-feeds", "decomposed-role"])
+        "decomposed-feeds", "decomposed-role", "sibling-then-decomposed"])
 def test_check_and_map_agree_on_unmappable_phases(cli, corpus_dir, tmp_path, steps, faults):
     args = _phase_b(corpus_dir, tmp_path, steps)
     messages = [f"phase B: {fault}" for fault in faults]

@@ -8,10 +8,11 @@ referenced somewhere in the package outside its own definition. No function
 calls itself except the grammar walkers, which spend one frame per nesting
 level by design. The parser's block functions, generated from the grammar
 when ``esskit.dsl`` is imported, are scanned with the package's modules.
-The CLI module loads only what every command needs, and a dot export does
-not load the linter. Only the grammar module refers to the lexer's token
-patterns, so each value kind is read and written in one place. Only the
-model makes ids: no other module refers to ``slug`` or joins an owner's id
+The CLI module loads only what every command needs, a dot export does not
+load the linter, and a check of input with no phase does not load the
+mapper. Only the grammar module refers to the lexer's token patterns, so
+each value kind is read and written in one place. Only the model makes
+ids: no other module refers to ``slug`` or joins an owner's id
 to a ``dotted_id`` or ``element_id`` with a ``/`` of its own. The mapping
 policy lives in ``togaf`` alone: only it and the model, which defines them,
 refer to the tag and practice-name tables, and only it defines
@@ -345,6 +346,19 @@ def test_dot_export_loads_no_linter(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           check=True)
     assert done.stdout.startswith("digraph essence {")
+    assert done.stderr == "0 False\n"
+
+
+def test_check_without_a_phase_loads_no_mapper(tmp_path):
+    source = tmp_path / "p.ess"
+    source.write_text('practice "P" area Customer { goal "g" }\n', encoding="utf-8")
+    code = ("import sys; from esskit.cli import run; "
+            f"code = run(['check', {str(source)!r}]); "
+            "print(code, 'esskit.togaf' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True)
+    assert done.stdout == "0 errors, 0 warnings\n"
     assert done.stderr == "0 False\n"
 
 

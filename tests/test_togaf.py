@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esskit import dsl, render, validator
+from esskit import dsl, render, togaf, validator
 from esskit.model import (
     PHASE_IDS,
     Activity,
@@ -445,7 +445,11 @@ def test_check_and_map_agree(fixture_model, spec):
     assert model is not None
     try:
         text = render.render_canonical(ModelDocument([map_phase(spec, model)]))
-    except (MappingError, ValueError):
+    except MappingError as refusal:
+        # map prints the first V018 line check prints for the phase.
+        assert str(refusal) == next(d.message for d in diagnostics if d.rule == "V018")
+        text = None
+    except ValueError:
         text = None
     assert (text is not None) == (not any(d.is_error for d in diagnostics))
     if text is not None:
@@ -490,6 +494,17 @@ def test_map_phase_walks_a_phase_once(corpus, corpus_model, monkeypatch):
         walked.clear()
         map_phase(phase, corpus_model)
         assert walked == [phase.phase]
+
+
+def test_check_builds_no_mapped_activity(corpus_model, monkeypatch):
+    # Only map_phase builds activities; check's mapping pass finds faults alone.
+    expected = validator.check_wellformedness(corpus_model)
+
+    def refuse(*args):
+        raise AssertionError("check built a mapped activity")
+
+    monkeypatch.setattr(togaf, "_map_activity", refuse)
+    assert validator.check_wellformedness(corpus_model) == expected
 
 
 def test_corpus_practices_are_the_mapper_output(corpus, corpus_model, manifest):

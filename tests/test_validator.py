@@ -213,27 +213,31 @@ def test_stray_activity_is_v016():
     assert diagnostics[0].path == "practice.p/activity.loose"
 
 
-@pytest.mark.parametrize("method,message", [
-    (Method(name="m", cycle=()), "method 'm' has an empty cycle"),
+@pytest.mark.parametrize("method,messages", [
+    (Method(name="m", cycle=()), ["method 'm' has an empty cycle"]),
     (Method(name="m", cycle=("A",), preamble="A"),
-     "method 'm' lists preamble 'A' inside the cycle"),
+     ["method 'm' lists preamble 'A' inside the cycle"]),
     (Method(name="m", cycle=("A", "B"), concurrent=("B",)),
-     "method 'm' lists concurrent practice(s) B inside the cycle"),
+     ["method 'm' lists concurrent practice(s) B inside the cycle"]),
     (Method(name="m", cycle=("A",), preamble="P", concurrent=("P",)),
-     "method 'm' lists preamble 'P' as concurrent"),
+     ["method 'm' lists preamble 'P' as concurrent"]),
+    # enact prints the first V017 line check prints.
+    (Method(name="m", cycle=("P", "Q"), preamble="P", concurrent=("Q",)),
+     ["method 'm' lists concurrent practice(s) Q inside the cycle",
+      "method 'm' lists preamble 'P' inside the cycle"]),
 ], ids=["empty-cycle", "preamble-in-cycle", "concurrent-in-cycle",
-        "preamble-concurrent"])
-def test_unenactable_method_is_v017(method, message):
+        "preamble-concurrent", "preamble-and-concurrent-in-cycle"])
+def test_unenactable_method_is_v017(method, messages):
     from esskit.progress import EnactmentError, start_enactment
 
     practices = [Practice(name=name, area=Area.CUSTOMER, goals=("g",))
-                 for name in ("A", "B", "P")]
+                 for name in ("A", "B", "P", "Q")]
     model = validator.resolve(ModelDocument([*practices, method]))
-    assert [(d.rule, d.path, d.message) for d in
-            validator.check_wellformedness(model)] == [("V017", "method.m", message)]
+    assert [(d.rule, d.path, d.message) for d in validator.check_wellformedness(model)] == [
+        ("V017", "method.m", message) for message in messages]
     with pytest.raises(EnactmentError) as failure:
         start_enactment(method)
-    assert str(failure.value) == message
+    assert str(failure.value) == messages[0]
 
 
 def test_area_profile_single_area_example(kernel_model):
