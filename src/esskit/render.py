@@ -6,6 +6,9 @@ member per line, every optional attribute written explicitly. It writes the
 clauses of :data:`esskit.dsl.GRAMMAR` with the writers of the value kinds
 the parser reads them as, so parsing the rendered text reproduces a
 structurally equal document, and rendering is idempotent.
+
+``export_json`` writes a resolved document's JSON tree, each record from its
+kind's template; ``export_dot`` writes the practices' containment graph.
 """
 
 from __future__ import annotations
@@ -155,15 +158,12 @@ def _render(lines: list[str], element, key: str, indent: str) -> None:
 # Machine-readable export ---------------------------------------------------
 
 
-# The top-level list of each document-level element, and the list of its
-# owner's record that each owned element joins.
+# The top-level list of each document-level element.
 _TREE_LISTS = {
     AreaDecl: "areas", Alpha: "alphas", Competency: "competencies", Space: "spaces",
     WorkProduct: "work_products", Role: "roles", Practice: "practices",
     Method: "methods", TogafPhase: "phases",
 }
-_OWNED_LISTS = {AlphaState: "states", WorkProduct: "outputs", Space: "spaces",
-                Activity: "activities"}
 
 
 def export_json(model, *, diagnostics=()) -> str:
@@ -175,145 +175,191 @@ def export_json(model, *, diagnostics=()) -> str:
     ``diagnostics`` passed in. Arrays follow declaration order; every element
     record carries ``id``, ``name``, and ``kind``. References are emitted as
     element ids, so the document must resolve; dangling references raise
-    :class:`esskit.diagnostics.ResolveError` listing the offending ids.
+    :class:`esskit.diagnostics.ResolveError` listing the offending ids. A
+    level, line or column that is not an int raises TypeError or ValueError.
+
+    The text is ``json.dumps(tree, indent=2, ensure_ascii=False) + "\\n"``,
+    but no tree is built: each record is written from its element by its
+    kind's template, indented by its depth, and one pass joins the text.
     """
+    from json.encoder import encode_basestring as quote
+
     if isinstance(model, ModelDocument):
         from .validator import resolve
 
         document = resolve(model).document
     else:
         document = model.document
-    tree = {key: [] for key in _TREE_LISTS.values()}
-    tree["diagnostics"] = [d.to_record() for d in diagnostics]
-    # The walk is pre-order, so an element's owner is the latest record at
-    # its parent id, even when ids collide, and a practice's spaces and
-    # activities follow the practice.
-    records: dict[str, dict] = {}
-    for ident, element, parent_id, _ in document.walk():
+    lists = {key: [] for key in _TREE_LISTS.values()}
+    lists["diagnostics"] = [_diagnostic(quote, d) for d in diagnostics]
+    # The arrays of each record that holds records, by the class they hold.
+    # The walk is pre-order, so an element's owner is the latest record at its
+    # parent id, even when ids collide, and a practice's spaces and activities
+    # follow the practice. Ids, slugs joined by "." and "/", need no escaping.
+    owners: dict[str, dict[type, list]] = {}
+    for ident, element, parent_id, depth in document.walk():
         cls = element.__class__
-        if parent_id is None:
-            siblings = tree.get(_TREE_LISTS.get(cls))
-        else:
-            siblings = records.get(parent_id, {}).get(_OWNED_LISTS.get(cls))
+        siblings = (lists.get(_TREE_LISTS.get(cls)) if parent_id is None
+                    else owners.get(parent_id, {}).get(cls))
         if siblings is None:
             # A kernel, or the contents of a kernel space (possible only in a
             # hand-built document), which the tree gives no members.
             continue
-        record = {"id": ident, "name": element.name, "kind": element.kind}
-        siblings.append(record)
-        records[ident] = record
+        k = "\n" + "  " * (3 + 2 * depth)  # the line break and indent of each key
+        end = k[:-2] + "}"
+        head = (f'{{{k}"id": "{ident}",{k}"name": {quote(element.name)},'
+                f'{k}"kind": "{element.kind}",{k}')
         if cls is AreaDecl:
-            record["color"] = element.area.color
+            record = f'{head}"color": "{element.area.color}"{end}'
         elif cls is Alpha:
-            record.update(area=_area_id(element.area), states=[])
+            states = []
+            owners[ident] = {AlphaState: states}
+            record = (f'{head}"area": "{_area_id(element.area)}",{k}"states": ', states, end)
         elif cls is AlphaState:
-            record["checklist"] = [{"key": f"{len(siblings)}.{ci}", "text": text}
-                                   for ci, text in enumerate(element.checklist, 1)]
+            i, j = k + "  ", k + "    "
+            checklist = [f'{{{j}"key": "{len(siblings) + 1}.{ci}",{j}"text": {quote(text)}{i}}}'
+                         for ci, text in enumerate(element.checklist, 1)]
+            record = f'{head}"checklist": {_array(checklist, k)}{end}'
         elif cls is Competency:
-            record.update(area=_area_id(element.area), max_level=element.max_level,
-                          builtin=element.kernel_builtin)
+            record = (f'{head}"area": "{_area_id(element.area)}",{k}"max_level": '
+                      f'{element.max_level:d},{k}"builtin": '
+                      f'{"true" if element.kernel_builtin else "false"}{end}')
         elif cls is WorkProduct:
-            record.update(category=element.category.value,
-                          description=element.description)
+            record = (f'{head}"category": {quote(element.category.value)},{k}"description": '
+                      f'{_text(quote, element.description)}{end}')
         elif cls is Role:
-            record["competencies"] = [_grade_record(g) for g in element.competencies]
+            record = f'{head}"competencies": {_grades(element.competencies, k)}{end}'
         elif cls is Practice:
             practice, wp_ref = element, _work_product_ref(element, ident)
-            record.update(area=_area_id(element.area), goals=list(element.goals),
-                          inputs=list(element.inputs), outputs=[], spaces=[],
-                          activities=[])
+            outputs, spaces, activities = [], [], []
+            owners[ident] = {WorkProduct: outputs, Space: spaces, Activity: activities}
+            record = (f'{head}"area": "{_area_id(element.area)}",'
+                      f'{k}"goals": {_array([quote(text) for text in element.goals], k)},'
+                      f'{k}"inputs": {_array([quote(text) for text in element.inputs], k)},'
+                      f'{k}"outputs": ', outputs, f',{k}"spaces": ', spaces,
+                      f',{k}"activities": ', activities, end)
         elif cls is Space and parent_id is None:
-            record.update(area=_area_id(element.area), parent=dotted_id(
-                "space", element.parent) if element.parent else None, goal=element.goal)
+            parent = _ref("space", element.parent)
+            record = (f'{head}"area": "{_area_id(element.area)}",{k}"parent": {parent},'
+                      f'{k}"goal": {_text(quote, element.goal)}{end}')
         elif cls is Space:
-            record.update(area=_area_id(element.area or practice.area),
-                          goal=element.goal, spaces=[], activities=[])
+            spaces, activities = [], []
+            owners[ident] = {Space: spaces, Activity: activities}
+            record = (f'{head}"area": "{_area_id(element.area or practice.area)}",'
+                      f'{k}"goal": {_text(quote, element.goal)},{k}"spaces": ', spaces,
+                      f',{k}"activities": ', activities, end)
         elif cls is Activity:
-            record.update(
-                requires=[_grade_record(g) for g in element.requires],
-                produces=[{
-                    "work_product": wp_ref(c.work_product),
-                    "part": c.part,
-                    "rendered": c.rendered_name(),
-                } for c in element.produces],
-                role=dotted_id("role", element.role) if element.role else None,
-                tags=list(element.tags))
+            i, j = k + "  ", k + "    "
+            produces = [f'{{{j}"work_product": "{wp_ref(c.work_product)}",{j}"part": '
+                        f'{_text(quote, c.part)},{j}"rendered": {quote(c.rendered_name())}{i}}}'
+                        for c in element.produces]
+            record = (f'{head}"requires": {_grades(element.requires, k)},'
+                      f'{k}"produces": {_array(produces, k)},'
+                      f'{k}"role": {_ref("role", element.role)},'
+                      f'{k}"tags": {_array([quote(t) for t in element.tags], k)}{end}')
         elif cls is Method:
-            record.update(
-                preamble=dotted_id("practice", element.preamble) if element.preamble else None,
-                cycle=[dotted_id("practice", n) for n in element.cycle],
-                concurrent=[dotted_id("practice", n) for n in element.concurrent])
+            cycle = [f'"{dotted_id("practice", n)}"' for n in element.cycle]
+            concurrent = [f'"{dotted_id("practice", n)}"' for n in element.concurrent]
+            record = (f'{head}"preamble": {_ref("practice", element.preamble)},'
+                      f'{k}"cycle": {_array(cycle, k)},{k}"concurrent": '
+                      f'{_array(concurrent, k)}{end}')
         elif cls is TogafPhase:
-            record.update(phase=element.phase, objective=element.objective,
-                          outputs=[], steps=_step_records(element, ident))
-    return _json(tree)
+            outputs = []
+            owners[ident] = {WorkProduct: outputs}
+            record = (f'{head}"phase": {quote(element.phase)},{k}"objective": '
+                      f'{quote(element.objective)},{k}"outputs": ', outputs,
+                      f',{k}"steps": ', _step_records(quote, element, ident), end)
+        siblings.append(record)
+    pieces = []
+    for key, records in lists.items():
+        pieces += (f'{"," if pieces else "{"}\n  "{key}": ', records)
+    pieces.append("\n}\n")
+    return _joined(pieces)
 
 
-def _json(value) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False) + "\\n"`` for a tree
-    of dicts with string keys, lists, tuples, strings, ints, booleans and
-    None.
+def _step_records(quote, phase: TogafPhase, own: str) -> list:
+    """The records of the steps of ``phase``, whose id is ``own``."""
+    # Pre-order: a spec's parent is the latest record at the parent path,
+    # even when sibling specs share a name. Its depth is its chain's length.
+    arrays: dict[str, list] = {own: []}
+    for path, spec, chain, parent_path in walk_specs(phase):
+        k = "\n" + "  " * (3 + 2 * len(chain))
+        head = f'{{{k}"name": {quote(spec.name)},{k}'
+        if isinstance(spec, StepSpec):
+            head += f'"goal": {_text(quote, spec.goal)},{k}"activities": '
+        else:
+            i, j = k + "  ", k + "    "
+            feeds = [f'{{{j}"output": "{dotted_id("workproduct", c.work_product, own)}",'
+                     f'{j}"part": {_text(quote, c.part)}{i}}}' for c in spec.feeds]
+            head += (f'"tags": {_array([quote(t) for t in spec.tags], k)},'
+                     f'{k}"feeds": {_array(feeds, k)},{k}"role": {_ref("role", spec.role)},'
+                     f'{k}"activities": ')
+        arrays[path] = children = []
+        arrays[parent_path].append((head, children, k[:-2] + "}"))
+    return arrays[own]
 
-    Containers are walked with an explicit stack instead of two frames per
-    nesting level, and each value is one chunk that carries its separator,
-    indentation and key, as the standard encoder's chunks do. The final line
-    break is a chunk too, which spares a copy of the whole text.
-    """
-    from json.encoder import encode_basestring as quote
 
+def _joined(pieces: list) -> str:
+    """The text of ``pieces``: strings, arrays of records, and records that
+    hold records, which are tuples of strings and arrays. One explicit-stack
+    pass indents each array by its nesting level and joins the text once."""
     chunks: list[str] = []
     append = chunks.append
-    # One frame per open container: (items, keyed, separator, closing); the
-    # root frame holds ``value`` alone.
-    stack = [(iter((value,)), False, "", "\n")]
-    lead = ""
+    stack = [iter(pieces)]
     while stack:
-        items, keyed, separator, closing = stack[-1]
-        item = next(items, _DONE)
-        if item is _DONE:
-            stack.pop()
-            append(closing)
-            if stack:
-                lead = stack[-1][2]
-            continue
-        if keyed:
-            key, item = item
-            lead += quote(key) + ": "
-        if isinstance(item, str):
-            append(lead + quote(item))
-        elif item is None:
-            append(lead + "null")
-        elif item is True:
-            append(lead + "true")
-        elif item is False:
-            append(lead + "false")
-        elif isinstance(item, int):
-            append(lead + int.__repr__(item))
-        elif isinstance(item, (dict, list, tuple)):
-            mapping = isinstance(item, dict)
-            if item:
-                indent = "\n" + "  " * len(stack)
-                stack.append((iter(item.items() if mapping else item), mapping,
-                              "," + indent, indent[:-2] + ("}" if mapping else "]")))
-                lead += ("{" if mapping else "[") + indent
-                continue
-            append(lead + ("{}" if mapping else "[]"))
+        for piece in stack[-1]:
+            if piece.__class__ is str:
+                append(piece)
+            elif piece.__class__ is tuple:
+                stack.append(iter(piece))
+                break
+            elif piece:
+                # Records and arrays alternate on the stack from the document
+                # down, so an array's items sit one level below its own.
+                indent = "\n" + "  " * (len(stack) + 1)
+                items = [f",{indent}"] * (2 * len(piece) + 1)
+                items[0], items[1::2], items[-1] = "[" + indent, piece, indent[:-2] + "]"
+                stack.append(iter(items))
+                break
+            else:
+                append("[]")
         else:
-            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
-        lead = separator
+            stack.pop()
     return "".join(chunks)
 
 
-_DONE = object()
+def _array(items: list[str], k: str) -> str:
+    """The array of the item texts ``items``, its brackets at line indent ``k``."""
+    i = k + "  "
+    return f"[{i}{f',{i}'.join(items)}{k}]" if items else "[]"
+
+
+def _text(quote, value) -> str:
+    return "null" if value is None else quote(value)
+
+
+def _ref(kind: str, name) -> str:
+    return f'"{dotted_id(kind, name)}"' if name else "null"
 
 
 def _area_id(area) -> str:
     return dotted_id("area", area.value)
 
 
-def _grade_record(grade) -> dict:
-    return {"competency": dotted_id("competency", grade.competency),
-            "level": grade.level}
+def _grades(grades, k: str) -> str:
+    i, j = k + "  ", k + "    "
+    return _array([f'{{{j}"competency": "{dotted_id("competency", g.competency)}",'
+                   f'{j}"level": {g.level:d}{i}}}' for g in grades], k)
+
+
+def _diagnostic(quote, d) -> str:
+    """The record of ``d``, with the keys of ``Diagnostic.to_record``."""
+    k, hint, span = "\n      ", d.hint, d.span
+    return (f'{{{k}"rule": {quote(d.rule)},{k}"severity": {quote(d.severity.value)},'
+            f'{k}"path": {quote(d.path)},{k}"message": {quote(d.message)}'
+            + ("" if hint is None else f',{k}"hint": {quote(hint)}')
+            + ("" if span is None else f',{k}"file": {quote(span.file)},'
+               f'{k}"line": {span.start_line:d},{k}"col": {span.start_col:d}') + "\n    }")
 
 
 def _work_product_ref(practice: Practice, own: str):
@@ -328,30 +374,6 @@ def _work_product_ref(practice: Practice, own: str):
         return dotted_id("workproduct", name, own if name in local else None)
 
     return ref
-
-
-def _step_records(phase: TogafPhase, own: str) -> list[dict]:
-    """The records of the steps of ``phase``, whose id is ``own``."""
-    # Pre-order: a spec's parent is the latest record at the parent path,
-    # even when sibling specs share a name. The phase's own entry collects
-    # the steps under the key every spec record uses for its children.
-    records: dict[str, dict] = {own: {"activities": []}}
-    for path, spec, _, parent_path in walk_specs(phase):
-        if isinstance(spec, StepSpec):
-            records[path] = {"name": spec.name, "goal": spec.goal, "activities": []}
-        else:
-            records[path] = {
-                "name": spec.name,
-                "tags": list(spec.tags),
-                "feeds": [{
-                    "output": dotted_id("workproduct", c.work_product, own),
-                    "part": c.part,
-                } for c in spec.feeds],
-                "role": dotted_id("role", spec.role) if spec.role else None,
-                "activities": [],
-            }
-        records[parent_path]["activities"].append(records[path])
-    return records[own]["activities"]
 
 
 # DOT export -----------------------------------------------------------------

@@ -516,6 +516,31 @@ def test_export_accepts_spaces_nested_as_deep_as_check(tmp_path):
     assert outputs["export"].count('"kind": "activity"') == 1
 
 
+def test_export_accepts_phase_specs_nested_as_deep_as_check(tmp_path):
+    # Cold processes, so that pytest's own stack does not count.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esskit
+
+    depth = 984
+    deep = tmp_path / "deep.ess"
+    deep.write_text(KERNEL_PRELUDE + 'togaf_phase A "Vision" { objective "o" step "S" { '
+                    + "".join(f'activity "a{n}" {{ ' for n in range(depth - 1))
+                    + f'activity "a{depth - 1}" tag builds ' + "} " * (depth - 1) + "} }")
+    env = {**os.environ, "PYTHONPATH": str(Path(esskit.__file__).parent.parent)}
+    outputs = {}
+    for command in ("check", "export"):
+        child = subprocess.run(
+            [sys.executable, "-c", "from esskit.cli import main; main()", command,
+             "--max-depth", "5000", str(deep)], capture_output=True, text=True, env=env)
+        assert (child.returncode, child.stderr) == (0, ""), command
+        outputs[command] = child.stdout
+    # json.loads in this process would itself recurse too deeply.
+    assert outputs["export"].count('"name": "a') == depth
+
+
 def test_closed_stdout_exits_3_without_traceback(corpus_dir):
     import subprocess
     import sys

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esskit import dsl, render, validator
-from esskit.diagnostics import ResolveError
+from esskit.diagnostics import Diagnostic, ResolveError, Severity, SourceSpan
+from esskit.model import (Activity, ActivitySpec, Alpha, AlphaState, Area, Competency,
+                          CompetencyGrade, Contribution, Kernel, Method, ModelDocument,
+                          Practice, Role, Space, StepSpec, TogafPhase, WorkProduct)
 
 from conftest import (EXPORT_TREE_KEYS, collision_document, generate_document,
                       parse_with_kernel)
@@ -93,26 +96,90 @@ def test_export_takes_a_resolved_model_without_resolving_again(corpus, monkeypat
     assert render.export_json(model) == expected
 
 
+@pytest.mark.parametrize("level", [None, "3", 2.5])
+def test_export_refuses_a_level_that_is_not_an_int(level):
+    # Only a hand-built document holds one; the writer raises rather than
+    # write text that is not JSON.
+    document = ModelDocument([Role(name="R", competencies=(CompetencyGrade("A", level),))])
+    with pytest.raises((TypeError, ValueError)):
+        render.export_json(validator.ResolvedModel(document))
+
+
 # Strings with quotes, backslashes, control characters, non-ASCII characters
 # and lone surrogates, which the standard encoder passes through unescaped.
 _TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
                           st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff')))
-_JSON = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT),
-    lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.dictionaries(_TEXT, children, max_size=4)),
-    max_leaves=40)
+# Every string field the writer quotes: the names, which the test prefixes
+# with a letter so that each yields an id, and the other strings.
+_NAMES = ("alpha", "state", "competency", "kernel_space", "kernel_output", "role",
+          "practice", "output", "space", "activity", "product", "method", "letter",
+          "phase", "phase_output", "step", "spec")
+_STRINGS = ("item", "kernel_goal", "description", "goal", "input", "space_goal", "part",
+            "tag", "objective", "step_goal", "spec_tag", "feed_part", "path", "message",
+            "hint", "file")
+
+
+def _drawn_document(s: dict):
+    """A document built by hand with the string ``s[field]`` in each field,
+    and a diagnostic built likewise."""
+    kernel = Kernel(name="K", members=(
+        Alpha(name=s["alpha"], area=Area.CUSTOMER, states=(
+            AlphaState(name=s["state"], checklist=(s["item"],)),)),
+        Competency(name=s["competency"], area=Area.SOLUTION),
+        Space(name=s["kernel_space"], area=Area.ENDEAVOR, goal=s["kernel_goal"]),
+        WorkProduct(name=s["kernel_output"], description=s["description"])))
+    practice = Practice(
+        name=s["practice"], area=Area.CUSTOMER, goals=(s["goal"],), inputs=(s["input"],),
+        outputs=(WorkProduct(name=s["output"]),), members=(Space(
+            name=s["space"], goal=s["space_goal"], members=(Activity(
+                name=s["activity"], produces=(Contribution(s["product"], s["part"]),),
+                role=s["role"], tags=(s["tag"],)),)),))
+    phase = TogafPhase(
+        phase=s["letter"], name=s["phase"], objective=s["objective"],
+        outputs=(WorkProduct(name=s["phase_output"]),), steps=(StepSpec(
+            name=s["step"], goal=s["step_goal"], activities=(ActivitySpec(
+                name=s["spec"], tags=(s["spec_tag"],),
+                feeds=(Contribution(s["phase_output"], s["feed_part"]),)),)),))
+    document = ModelDocument([
+        kernel, Role(name=s["role"], competencies=(CompetencyGrade(s["competency"], 2),)),
+        practice, Method(name=s["method"], cycle=(s["practice"],)), phase])
+    diagnostic = Diagnostic("V001", Severity.ERROR, s["path"], s["message"],
+                            SourceSpan(s["file"], 1, 2, 1, 3), s["hint"])
+    return document, diagnostic
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(value=_JSON)
-def test_emitter_writes_what_the_standard_encoder_writes(value):
-    assert render._json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-
-
-def test_emitter_writes_tuples_as_arrays():
-    value = {"pair": (1, ("x", ())), "empty": {}}
-    assert render._json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+@given(drawn=st.fixed_dictionaries({field: _TEXT for field in _NAMES + _STRINGS}))
+def test_emitter_writes_what_the_standard_encoder_writes(drawn):
+    s = {field: "n" + text if field in _NAMES else text for field, text in drawn.items()}
+    document, diagnostic = _drawn_document(s)
+    out = render.export_json(validator.ResolvedModel(document), diagnostics=[diagnostic])
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+    tree = json.loads(out)
+    (alpha,), (competency,), (space,), (output,), (role,), (practice,), (method,), (phase,) = (
+        tree[key] for key in ("alphas", "competencies", "spaces", "work_products", "roles",
+                              "practices", "methods", "phases"))
+    (state,), (inner,), (step,) = alpha["states"], practice["spaces"], phase["steps"]
+    (activity,), (spec,) = inner["activities"], step["activities"]
+    (produced,) = activity["produces"]
+    assert produced["rendered"] == f"{s['product']}: {s['part']}"
+    read = {
+        "alpha": alpha["name"], "state": state["name"], "item": state["checklist"][0]["text"],
+        "competency": competency["name"], "kernel_space": space["name"],
+        "kernel_goal": space["goal"], "kernel_output": output["name"],
+        "description": output["description"], "role": role["name"],
+        "practice": practice["name"], "goal": practice["goals"][0],
+        "input": practice["inputs"][0], "output": practice["outputs"][0]["name"],
+        "space": inner["name"], "space_goal": inner["goal"], "activity": activity["name"],
+        "product": s["product"], "part": produced["part"], "tag": activity["tags"][0],
+        "method": method["name"], "letter": phase["phase"], "phase": phase["name"],
+        "objective": phase["objective"], "phase_output": phase["outputs"][0]["name"],
+        "step": step["name"], "step_goal": step["goal"], "spec": spec["name"],
+        "spec_tag": spec["tags"][0], "feed_part": spec["feeds"][0]["part"],
+        **{key: tree["diagnostics"][0][key] for key in ("path", "message", "hint", "file")},
+    }
+    assert read == s
+    assert tree["diagnostics"] == [diagnostic.to_record()]
 
 
 def _models(corpus):

@@ -9,13 +9,13 @@ calls itself except the grammar walkers, which spend one frame per nesting
 level by design. The parser's block functions, generated from the grammar
 when ``esskit.dsl`` is imported, are scanned with the package's modules.
 The CLI module loads only what every command needs, a dot export does not
-load the linter, and a check of input with no phase does not load the
-mapper. Only the grammar module refers to the lexer's token patterns, so
-each value kind is read and written in one place. Only the model makes
-ids: no other module refers to ``slug`` or joins an owner's id
-to a ``dotted_id`` or ``element_id`` with a ``/`` of its own. The mapping
-policy lives in ``togaf`` alone: only it and the model, which defines them,
-refer to the tag and practice-name tables, and only it defines
+load the linter, a check of input with no phase does not load the mapper,
+and only the tree export loads ``json``. Only the grammar module refers to
+the lexer's token patterns, so each value kind is read and written in one
+place. Only the model makes ids: no other module refers to ``slug`` or joins
+an owner's id to a ``dotted_id`` or ``element_id`` with a ``/`` of its own.
+The mapping policy lives in ``togaf`` alone: only it and the model, which
+defines them, refer to the tag and practice-name tables, and only it defines
 ``mapping_faults``. The mapper raises :class:`~esskit.togaf.MappingError` in
 one place, for the first fault of its one pass, which ``check`` reports too.
 Importing the mapper loads no resource reader.
@@ -360,6 +360,28 @@ def test_check_without_a_phase_loads_no_mapper(tmp_path):
                           check=True)
     assert done.stdout == "0 errors, 0 warnings\n"
     assert done.stderr == "0 False\n"
+
+
+@pytest.mark.parametrize("command, loads_json", [
+    (["check"], False), (["map"], False), (["export", "--format", "dot"], False),
+    # The control: the tree export imports the encoder when it is called.
+    (["export", "--format", "tree"], True),
+])
+def test_only_the_tree_export_loads_json(tmp_path, command, loads_json):
+    from esskit import togaf
+
+    files = []
+    for name, text in togaf.corpus_files().items():
+        if name.endswith(".ess"):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            files.append(str(tmp_path / name))
+    code = ("import sys; from esskit.cli import run; "
+            f"code = run({command + sorted(files)!r}); "
+            "print(code, 'json' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True)
+    assert done.stderr == f"0 {loads_json}\n"
 
 
 def test_every_public_name_resolves():
