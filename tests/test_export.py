@@ -182,6 +182,25 @@ def test_emitter_writes_what_the_standard_encoder_writes(drawn):
     assert tree["diagnostics"] == [diagnostic.to_record()]
 
 
+def test_emitter_writes_tuples_as_arrays():
+    # Element fields are tuples, some empty and some holding records that
+    # hold tuples; each is written as the standard encoder writes an array.
+    practice = Practice(name="P", area=Area.CUSTOMER, goals=("g1", "g2"), members=(Space(
+        name="S", members=(Activity(name="A", requires=(CompetencyGrade("C", 1),),
+                                    tags=("t",)),)),))
+    document = ModelDocument([
+        Kernel(name="K", members=(Competency(name="C", area=Area.SOLUTION),)), practice])
+    out = render.export_json(validator.ResolvedModel(document))
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+    (written,) = json.loads(out)["practices"]
+    assert (written["goals"], written["inputs"], written["outputs"]) == (["g1", "g2"], [], [])
+    (space,) = written["spaces"]
+    assert (space["spaces"], written["activities"]) == ([], [])
+    (activity,) = space["activities"]
+    assert activity["requires"] == [{"competency": "competency.c", "level": 1}]
+    assert (activity["produces"], activity["tags"]) == ([], ["t"])
+
+
 def _models(corpus):
     # Generated documents need not resolve; the tree is built from the model
     # as given.
