@@ -14,14 +14,11 @@ description; absent descriptions compare equal to empty ones.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
 from .diagnostics import Diagnostic, Record, Severity, ordered
 from .model import Activity, ModelDocument, Practice, Role, Space, WorkProduct
 from .validator import ResolvedModel
-
-_WS = re.compile(r"\s+")
 
 
 class LintRule(Record):
@@ -61,7 +58,7 @@ class UnknownRuleError(ValueError):
 def _norm_description(description: str | None) -> str:
     if description is None:
         return ""
-    return _WS.sub(" ", description).strip()
+    return " ".join(description.split())
 
 
 def run_lints(model: ResolvedModel,

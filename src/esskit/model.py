@@ -362,6 +362,34 @@ Element = Union[
 ]
 
 
+# The fields that hold each node type's contents, in walk order. Kernel members
+# are document-level; a phase's steps are specs, which only walk_specs walks.
+_CONTENTS = {
+    Kernel: ("members",),
+    Alpha: ("states",),
+    Practice: ("outputs", "members"),
+    Space: ("members",),
+    TogafPhase: ("outputs",),
+    StepSpec: ("activities",),
+    ActivitySpec: ("sub_activities",),
+}
+
+
+def _walk(nodes, owner_id: str | None, depth: int):
+    """Yield (id, node, owner id, depth) for ``nodes`` and their contents in
+    pre-order, from an explicit stack, so nesting depth costs no recursion."""
+    stack = [(node, owner_id, depth) for node in reversed(nodes)]
+    while stack:
+        node, owner_id, depth = stack.pop()
+        own_id = element_id(node, owner_id)
+        yield own_id, node, owner_id, depth
+        fields = _CONTENTS.get(node.__class__)
+        if fields:
+            own_id, depth = (None, 0) if node.__class__ is Kernel else (own_id, depth + 1)
+            for field in reversed(fields):
+                stack += [(child, own_id, depth) for child in reversed(getattr(node, field))]
+
+
 def walk_element(element) -> Iterator[tuple[str, Element, str | None, int]]:
     """Yield (id, element, parent id, depth) for a declaration and its contents.
 
@@ -370,50 +398,30 @@ def walk_element(element) -> Iterator[tuple[str, Element, str | None, int]]:
     Everything owned by a practice, space, alpha, or phase is qualified by
     the owner's id, and its depth is the number of owners in that id, so a
     practice's top-level spaces are at depth 1. Phases are identified by
-    their letter, not their name. The walk keeps its own stack, so nesting
-    depth costs no recursion.
+    their letter, not their name.
     """
-    stack = [(element, None, 0)]
-    while stack:
-        element, owner_id, depth = stack.pop()
-        own_id = element_id(element, owner_id)
-        yield own_id, element, owner_id, depth
-        if isinstance(element, Kernel):
-            stack.extend((member, None, 0) for member in reversed(element.members))
-        elif isinstance(element, Alpha):
-            for state in element.states:
-                yield element_id(state, own_id), state, own_id, depth + 1
-        elif isinstance(element, (Space, Practice)):
-            if isinstance(element, Practice):
-                for wp in element.outputs:
-                    yield element_id(wp, own_id), wp, own_id, depth + 1
-            stack.extend((member, own_id, depth + 1)
-                         for member in reversed(element.members))
-        elif isinstance(element, TogafPhase):
-            for wp in element.outputs:
-                yield element_id(wp, own_id), wp, own_id, depth + 1
+    return _walk((element,), None, 0)
 
 
-def walk_specs(phase: TogafPhase
-               ) -> Iterator[tuple[str, StepSpec | ActivitySpec, tuple[str, ...], str]]:
-    """Yield (path, spec, chain, parent path) for a phase's steps and specs.
+def walk_specs(phase: TogafPhase) -> Iterator[tuple[str, StepSpec | ActivitySpec, str, int]]:
+    """Yield (path, spec, parent path, depth) for a phase's steps and specs.
 
-    The order is pre-order. Paths extend the phase id
-    (``phase.a/step.define_scope/activity.engage``); the chain holds the
-    names from the step down to the spec. Specs are not elements: they stay
-    out of :meth:`ModelDocument.walk`, the id index and its collisions, so
-    sibling specs may share a name and so a path. The walk keeps its own
-    stack, so nesting depth costs no recursion.
+    The walk is :func:`walk_element`'s, begun at the steps: paths extend the
+    phase id (``phase.a/step.define_scope/activity.engage``), steps are at
+    depth 1 and a spec's depth is the length of its chain of names from the
+    step down. Specs are not elements: they stay out of
+    :meth:`ModelDocument.walk`, the id index and its collisions, so sibling
+    specs may share a name and so a path.
     """
-    phase_id = element_id(phase)
-    stack = [(step, (step.name,), phase_id) for step in reversed(phase.steps)]
-    while stack:
-        spec, chain, parent_id = stack.pop()
-        own_id = element_id(spec, parent_id)
-        yield own_id, spec, chain, parent_id
-        children = spec.activities if isinstance(spec, StepSpec) else spec.sub_activities
-        stack.extend((child, chain + (child.name,), own_id)
-                     for child in reversed(children))
+    return _walk(phase.steps, element_id(phase), 1)
+
+
+def walk_with_specs(document: ModelDocument):
+    """:meth:`ModelDocument.walk`, each phase followed by its :func:`walk_specs`."""
+    for entry in document.walk():
+        yield entry
+        if entry[1].__class__ is TogafPhase:
+            yield from walk_specs(entry[1])
 
 
 def element_id(element, owner_id: str | None = None) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .dsl import _DOCUMENT, _KINDS, GRAMMAR
 from .model import (
     Activity,
+    ActivitySpec,
     Alpha,
     AlphaState,
     AreaDecl,
@@ -29,7 +30,7 @@ from .model import (
     TogafPhase,
     WorkProduct,
     dotted_id,
-    walk_specs,
+    walk_with_specs,
 )
 
 
@@ -193,11 +194,12 @@ def export_json(model, *, diagnostics=()) -> str:
     lists = {key: [] for key in _TREE_LISTS.values()}
     lists["diagnostics"] = [_diagnostic(quote, d) for d in diagnostics]
     # The arrays of each record that holds records, by the class they hold.
-    # The walk is pre-order, so an element's owner is the latest record at its
-    # parent id, even when ids collide, and a practice's spaces and activities
-    # follow the practice. Ids, slugs joined by "." and "/", need no escaping.
+    # The walk is pre-order, so an element's or spec's owner is the latest
+    # record at its parent id, even when ids or sibling specs collide, and a
+    # practice's spaces and activities follow the practice, as a phase's specs
+    # follow the phase. Ids, slugs joined by "." and "/", need no escaping.
     owners: dict[str, dict[type, list]] = {}
-    for ident, element, parent_id, depth in document.walk():
+    for ident, element, parent_id, depth in walk_with_specs(document):
         cls = element.__class__
         siblings = (lists.get(_TREE_LISTS.get(cls)) if parent_id is None
                     else owners.get(parent_id, {}).get(cls))
@@ -207,8 +209,13 @@ def export_json(model, *, diagnostics=()) -> str:
             continue
         k = "\n" + "  " * (3 + 2 * depth)  # the line break and indent of each key
         end = k[:-2] + "}"
-        head = (f'{{{k}"id": "{ident}",{k}"name": {quote(element.name)},'
-                f'{k}"kind": "{element.kind}",{k}')
+        if cls is StepSpec or cls is ActivitySpec:  # specs carry no id or kind
+            activities = []
+            owners[ident] = {ActivitySpec: activities}
+            head = f'{{{k}"name": {quote(element.name)},{k}'
+        else:
+            head = (f'{{{k}"id": "{ident}",{k}"name": {quote(element.name)},'
+                    f'{k}"kind": "{element.kind}",{k}')
         if cls is AreaDecl:
             record = f'{head}"color": "{element.area.color}"{end}'
         elif cls is Alpha:
@@ -264,39 +271,27 @@ def export_json(model, *, diagnostics=()) -> str:
                       f'{k}"cycle": {_array(cycle, k)},{k}"concurrent": '
                       f'{_array(concurrent, k)}{end}')
         elif cls is TogafPhase:
-            outputs = []
-            owners[ident] = {WorkProduct: outputs}
+            phase_id, outputs, steps = ident, [], []
+            owners[ident] = {WorkProduct: outputs, StepSpec: steps}
             record = (f'{head}"phase": {quote(element.phase)},{k}"objective": '
                       f'{quote(element.objective)},{k}"outputs": ', outputs,
-                      f',{k}"steps": ', _step_records(quote, element, ident), end)
+                      f',{k}"steps": ', steps, end)
+        elif cls is StepSpec:
+            record = (f'{head}"goal": {_text(quote, element.goal)},{k}"activities": ',
+                      activities, end)
+        elif cls is ActivitySpec:
+            i, j = k + "  ", k + "    "
+            feeds = [f'{{{j}"output": "{dotted_id("workproduct", c.work_product, phase_id)}",'
+                     f'{j}"part": {_text(quote, c.part)}{i}}}' for c in element.feeds]
+            record = (f'{head}"tags": {_array([quote(t) for t in element.tags], k)},'
+                      f'{k}"feeds": {_array(feeds, k)},{k}"role": {_ref("role", element.role)},'
+                      f'{k}"activities": ', activities, end)
         siblings.append(record)
     pieces = []
     for key, records in lists.items():
         pieces += (f'{"," if pieces else "{"}\n  "{key}": ', records)
     pieces.append("\n}\n")
     return _joined(pieces)
-
-
-def _step_records(quote, phase: TogafPhase, own: str) -> list:
-    """The records of the steps of ``phase``, whose id is ``own``."""
-    # Pre-order: a spec's parent is the latest record at the parent path,
-    # even when sibling specs share a name. Its depth is its chain's length.
-    arrays: dict[str, list] = {own: []}
-    for path, spec, chain, parent_path in walk_specs(phase):
-        k = "\n" + "  " * (3 + 2 * len(chain))
-        head = f'{{{k}"name": {quote(spec.name)},{k}'
-        if isinstance(spec, StepSpec):
-            head += f'"goal": {_text(quote, spec.goal)},{k}"activities": '
-        else:
-            i, j = k + "  ", k + "    "
-            feeds = [f'{{{j}"output": "{dotted_id("workproduct", c.work_product, own)}",'
-                     f'{j}"part": {_text(quote, c.part)}{i}}}' for c in spec.feeds]
-            head += (f'"tags": {_array([quote(t) for t in spec.tags], k)},'
-                     f'{k}"feeds": {_array(feeds, k)},{k}"role": {_ref("role", spec.role)},'
-                     f'{k}"activities": ')
-        arrays[path] = children = []
-        arrays[parent_path].append((head, children, k[:-2] + "}"))
-    return arrays[own]
 
 
 def _joined(pieces: list) -> str:
@@ -353,13 +348,11 @@ def _grades(grades, k: str) -> str:
 
 
 def _diagnostic(quote, d) -> str:
-    """The record of ``d``, with the keys of ``Diagnostic.to_record``."""
-    k, hint, span = "\n      ", d.hint, d.span
-    return (f'{{{k}"rule": {quote(d.rule)},{k}"severity": {quote(d.severity.value)},'
-            f'{k}"path": {quote(d.path)},{k}"message": {quote(d.message)}'
-            + ("" if hint is None else f',{k}"hint": {quote(hint)}')
-            + ("" if span is None else f',{k}"file": {quote(span.file)},'
-               f'{k}"line": {span.start_line:d},{k}"col": {span.start_col:d}') + "\n    }")
+    """The record of ``d``, from ``Diagnostic.to_record``."""
+    k = "\n      "
+    return ("{" + ",".join(f'{k}"{key}": {value:d}' if key in ("line", "col")
+                           else f'{k}"{key}": {quote(value)}'
+                           for key, value in d.to_record().items()) + "\n    }")
 
 
 def _work_product_ref(practice: Practice, own: str):

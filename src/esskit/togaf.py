@@ -68,7 +68,7 @@ def map_phase(spec: TogafPhase, model: ResolvedModel, *, max_depth: int = 3) -> 
     # Reversed pre-order meets every child before its parent. With no fault
     # no two spaces share a path, so collecting children by path is exact.
     members: dict[str, list] = {}
-    for path, node, _, parent in reversed(walk):
+    for path, node, parent, _ in reversed(walk):
         if isinstance(node, ActivitySpec) and not node.sub_activities:
             node = _map_activity(node, model.roles.get(node.role), model)
             areas.update(model.competencies[grade.competency].area for grade in node.requires)
@@ -119,8 +119,11 @@ def _mapping(phase: TogafPhase, model: ResolvedModel, max_depth: int):
     fed: dict[str, list] = {}
     # R2-R4: siblings share a mapped id when both map to activities or spaces.
     mapped: set[tuple[str, bool]] = set()
+    chain: list[str] = []  # the names from the step down; R5 faults need a copy
     walk = list(walk_specs(phase))
-    for path, spec, chain, _ in walk:
+    for path, spec, _, depth in walk:
+        del chain[depth - 1:]
+        chain.append(spec.name)
         atomic = isinstance(spec, ActivitySpec) and not spec.sub_activities
         if (path, atomic) in mapped:
             fault(path, spec, chain, "would map to the same id as an earlier sibling")
@@ -131,7 +134,7 @@ def _mapping(phase: TogafPhase, model: ResolvedModel, max_depth: int):
                 output = contribution.work_product
                 if output not in declared:
                     fault(path, spec, chain, f"feeds undeclared output {output!r}")
-                fed.setdefault(output, []).append((path, spec, chain, contribution.part))
+                fed.setdefault(output, []).append((path, spec, tuple(chain), contribution.part))
             # R3/R6: the tags select the requirements, at a declared role's levels.
             if spec.role is not None and spec.role not in model.roles:
                 fault(path, spec, chain, f"names undeclared role {spec.role!r}")
@@ -144,8 +147,8 @@ def _mapping(phase: TogafPhase, model: ResolvedModel, max_depth: int):
                                   (spec.role, "name a role")):
                 if carried:
                     fault(path, spec, chain, f"is decomposed and cannot also {text}")
-            if len(chain) > max_depth:
-                fault(path, spec, chain, f"would nest spaces at depth {len(chain)}, "
+            if depth > max_depth:
+                fault(path, spec, chain, f"would nest spaces at depth {depth}, "
                       f"beyond the maximum of {max_depth}", "decomposing")
 
     # R5: an output with two or more feeders needs a distinct part from each.

@@ -32,7 +32,7 @@ from .model import (
     WorkProduct,
     element_id,
     walk_element,
-    walk_specs,
+    walk_with_specs,
 )
 
 DANGLING_REFERENCE = "V001"
@@ -122,9 +122,9 @@ def resolve(document: ModelDocument) -> ResolvedModel:
             rule=DANGLING_REFERENCE, severity=Severity.ERROR, path=path,
             message=f"reference to undeclared {kind} {name!r}", span=span))
 
-    # The walk lists every activity after the practice that owns it.
+    # The walk lists every activity after the practice or phase that owns it.
     local_wps: set[str] = set()
-    for ident, element, parent_id, _ in document.walk():
+    for ident, element, parent_id, _ in walk_with_specs(document):
         if isinstance(element, AlphaState):
             seen: set[str] = set()
             for text in element.checklist:
@@ -160,14 +160,12 @@ def resolve(document: ModelDocument) -> ResolvedModel:
                     dangling(ident, element.span, "practice", name)
         elif isinstance(element, TogafPhase):
             declared = {wp.name for wp in element.outputs}
-            for path, spec, _, _ in walk_specs(element):
-                if not isinstance(spec, ActivitySpec):
-                    continue
-                for contribution in spec.feeds:
-                    if contribution.work_product not in declared:
-                        dangling(path, spec.span, "output", contribution.work_product)
-                if spec.role is not None and spec.role not in model.roles:
-                    dangling(path, spec.span, "role", spec.role)
+        elif isinstance(element, ActivitySpec):
+            for contribution in element.feeds:
+                if contribution.work_product not in declared:
+                    dangling(ident, element.span, "output", contribution.work_product)
+            if element.role is not None and element.role not in model.roles:
+                dangling(ident, element.span, "role", element.role)
 
     if any(d.is_error for d in diagnostics):
         raise ResolveError(ordered(diagnostics))

@@ -549,14 +549,14 @@ def test_closed_stdout_exits_3_without_traceback(corpus_dir):
     import esskit
 
     env = {**os.environ, "PYTHONPATH": str(Path(esskit.__file__).parent.parent)}
-    child = subprocess.Popen(
-        [sys.executable, "-c", "from esskit.cli import main; main()", "enact",
-         "--method", "adm", "--steps", "200000", *_corpus_args(corpus_dir)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert child.stdout.readline() == b"P\n"
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait(timeout=60) == 3
+    with subprocess.Popen(
+            [sys.executable, "-c", "from esskit.cli import main; main()", "enact",
+             "--method", "adm", "--steps", "200000", *_corpus_args(corpus_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"P\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 3
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
@@ -586,13 +586,13 @@ def test_closed_stdout_exits_3_buffered_or_not(corpus_dir, tmp_path, command, un
     env["PYTHONPATH"] = str(Path(esskit.__file__).parent.parent)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    child = subprocess.Popen(
-        [sys.executable, "-c", "from esskit.cli import main; main()", *command, *files],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert child.stdout.readline()
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait(timeout=60) == 3
+    with subprocess.Popen(
+            [sys.executable, "-c", "from esskit.cli import main; main()", *command, *files],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 3
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 

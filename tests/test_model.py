@@ -38,6 +38,7 @@ from esskit.model import (
     walk_element,
     yields_id,
     walk_specs,
+    walk_with_specs,
 )
 from esskit.progress import EnactmentState
 from esskit.validator import AreaProfile
@@ -317,19 +318,42 @@ def test_walk_specs_carries_paths_chains_and_parents():
         StepSpec(name="Scope"),
     ))
     step = "phase.a/step.scope"
-    assert [(path, chain, parent) for path, _, chain, parent in walk_specs(phase)] == [
-        (step, ("Scope",), "phase.a"),
-        (f"{step}/activity.engage", ("Scope", "Engage"), step),
-        (f"{step}/activity.engage/activity.leaf", ("Scope", "Engage", "Leaf"),
-         f"{step}/activity.engage"),
-        (f"{step}/activity.engage", ("Scope", "Engage"), step),
-        (step, ("Scope",), "phase.a"),
+    # A spec's depth is the length of its chain of names from the step down.
+    assert [(path, parent, depth) for path, _, parent, depth in walk_specs(phase)] == [
+        (step, "phase.a", 1),
+        (f"{step}/activity.engage", step, 2),
+        (f"{step}/activity.engage/activity.leaf", f"{step}/activity.engage", 3),
+        (f"{step}/activity.engage", step, 2),
+        (step, "phase.a", 1),
     ]
     assert [spec for _, spec, _, _ in walk_specs(phase)][2] is leaf
     # Specs are not elements: the document walk, index and collisions skip them.
     document = ModelDocument([phase])
     assert [ident for ident, _, _, _ in document.walk()] == ["phase.a"]
     assert document.lookup(step) is None and document.id_collisions() == ()
+
+
+def test_walk_with_specs_puts_each_phase_spec_walk_before_its_outputs():
+    phase = TogafPhase(phase="A", name="Vision", objective="o",
+                       steps=(StepSpec(name="Scope", activities=(
+                                  ActivitySpec(name="Engage", sub_activities=(
+                                      ActivitySpec(name="Leaf", tags=("builds",)),)),)),
+                              StepSpec(name="Close")),
+                       outputs=(WorkProduct(name="Plan"),))
+    document = ModelDocument([phase, Role(name="R", competencies=())])
+    step = "phase.a/step.scope"
+    assert [(ident, parent, depth)
+            for ident, _, parent, depth in walk_with_specs(document)] == [
+        ("phase.a", None, 0),
+        (step, "phase.a", 1),
+        (f"{step}/activity.engage", step, 2),
+        (f"{step}/activity.engage/activity.leaf", f"{step}/activity.engage", 3),
+        ("phase.a/step.close", "phase.a", 1),
+        ("phase.a/workproduct.plan", "phase.a", 1),
+        ("role.r", None, 0),
+    ]
+    assert not any(isinstance(element, (StepSpec, ActivitySpec))
+                   for _, element, _, _ in document.walk())
 
 
 def _records(span: SourceSpan) -> dict:

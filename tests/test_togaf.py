@@ -480,7 +480,13 @@ def test_corpus_counts_match_manifest(corpus, manifest):
         assert len(phase.outputs) == entry["outputs"]
 
 
-def test_map_phase_walks_a_phase_once(corpus, corpus_model, monkeypatch):
+@pytest.mark.parametrize("stage", [
+    lambda corpus, model: [map_phase(phase, model) for phase in corpus.phases()],
+    lambda corpus, model: validator.resolve(corpus),
+    lambda corpus, model: validator.check_wellformedness(model),
+    lambda corpus, model: render.export_json(model),
+], ids=["map_phase", "resolve", "check_wellformedness", "export_json"])
+def test_map_phase_walks_a_phase_once(stage, corpus, corpus_model, monkeypatch):
     walked = []
 
     def counting(phase):
@@ -490,10 +496,25 @@ def test_map_phase_walks_a_phase_once(corpus, corpus_model, monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("esskit")]:
         if getattr(module, "walk_specs", None) is walk_specs:
             monkeypatch.setattr(module, "walk_specs", counting)
-    for phase in corpus.phases():
-        walked.clear()
-        map_phase(phase, corpus_model)
-        assert walked == [phase.phase]
+    stage(corpus, corpus_model)
+    assert walked == [phase.phase for phase in corpus.phases()]
+
+
+def test_mapping_fault_chains_after_a_deeper_subtree(fixture_model):
+    # The walk comes back from D > E to y; x's fault is reported after the
+    # walk, so it must still name x's own chain.
+    step = StepSpec(name="S", activities=(
+        ActivitySpec(name="D", sub_activities=(
+            ActivitySpec(name="E", sub_activities=(
+                ActivitySpec(name="x", tags=("builds",), feeds=(Contribution("W"),)),)),)),
+        ActivitySpec(name="y", tags=("builds",), feeds=(Contribution("W", "p"),)),
+        ActivitySpec(name="y", tags=("leads",))))
+    phase = _phase(steps=[step], outputs=[WorkProduct(name="W")])
+    assert [d.message for d in togaf.mapping_faults(phase, fixture_model)] == [
+        "phase A: output 'W' has 2 feeders, so the contribution from "
+        "'S' > 'D' > 'E' > 'x' must name its part",
+        "phase A: activity 'S' > 'y' would map to the same id as an earlier sibling",
+    ]
 
 
 def test_check_builds_no_mapped_activity(corpus_model, monkeypatch):
